@@ -2,10 +2,12 @@
 
 Every subcommand reads the same two-column follow CSV and writes one
 report to stdout or a file; ``pipeline`` chains the whole analysis and
-writes a report directory.  Exit codes: 0 success, 1 usage error, 2
+writes a report directory.  Exit codes: 0 success, 1 usage error
+(including a flag value out of range, caught before any work runs), 2
 unreadable or invalid data, 3 iteration failed to converge.  Reruns with
-the same inputs and seed are byte-identical; ``--threads`` changes the
-schedule, never the bytes.
+the same inputs and seed are byte-identical; ``--threads`` (on the
+subcommands that compute betweenness and cascades) changes the schedule,
+never the bytes.
 """
 
 from __future__ import annotations
@@ -68,10 +70,10 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     g = _read_graph(Path(args.input))
-    rows = [("full", metrics.summarize(g, threads=args.threads))]
+    rows = [("full", metrics.summarize(g))]
     core = largest_core(g)
     if core.node_count >= 2:
-        rows.append(("core", metrics.summarize(core, threads=args.threads)))
+        rows.append(("core", metrics.summarize(core)))
     text = (
         metrics.summary_json(rows)
         if args.format == "json"
@@ -145,7 +147,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     g = _read_graph(Path(args.input))
-    actual = metrics.summarize(g, threads=args.threads)
+    actual = metrics.summarize(g)
     rows = [("actual", actual)]
     verdicts = []
     ps = args.p if args.p else [0.05, 0.10]
@@ -158,7 +160,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
             k=args.ws_k if args.model == "watts_strogatz" else None,
         )
         label = f"{spec.model}_p{p:g}"
-        base = metrics.summarize(baselines.generate(spec), threads=args.threads)
+        base = metrics.summarize(baselines.generate(spec))
         rows.append((label, base))
         verdict = metrics.small_world_sigma(actual, base)
         verdicts.append((label, verdict))
@@ -216,9 +218,9 @@ def run_pipeline(config: PipelineConfig) -> ranking.Recommendation:
     """
     g = _read_graph(config.input_path)
     core = largest_core(g)
-    summary_rows = [("full", metrics.summarize(g, threads=config.threads))]
+    summary_rows = [("full", metrics.summarize(g))]
     if core.node_count >= 2:
-        summary_rows.append(("core", metrics.summarize(core, threads=config.threads)))
+        summary_rows.append(("core", metrics.summarize(core)))
     region = core if config.use_core else g
     table = centrality.full_table(
         region, tol=config.tol, max_iter=config.max_iter, threads=config.threads
@@ -286,7 +288,6 @@ def _add_common(p: argparse.ArgumentParser, region_flag: bool = True) -> None:
     p.add_argument("--input", required=True, help="edge CSV (header i,j)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
     if region_flag:
         p.add_argument(
             "--full-network",
@@ -295,9 +296,33 @@ def _add_common(p: argparse.ArgumentParser, region_flag: bool = True) -> None:
         )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _probability(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def _add_solver(p: argparse.ArgumentParser) -> None:
+    """Flags of the subcommands that build the centrality table."""
     p.add_argument("--tol", type=float, default=1e-10, help="eigenvector tolerance")
-    p.add_argument("--max-iter", type=int, default=1000, help="eigenvector iteration cap")
+    p.add_argument(
+        "--max-iter", type=_positive_int, default=1000, help="eigenvector iteration cap"
+    )
+    p.add_argument("--threads", type=_positive_int, default=1, help="worker threads")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,24 +349,24 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="cascade seed (default: node with most followers)",
     )
-    p.add_argument("--thetas", type=float, nargs="+", default=list(DEFAULT_THETAS))
-    p.add_argument("--days", type=int, default=15, help="day cap per cascade")
+    p.add_argument("--thetas", type=_probability, nargs="+", default=list(DEFAULT_THETAS))
+    p.add_argument("--days", type=_positive_int, default=15, help="day cap per cascade")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("rank", help="rank candidate seeds by spreading score")
     _add_common(p)
     _add_solver(p)
-    p.add_argument("--k", type=int, default=10, help="top-k per centrality measure")
-    p.add_argument("--theta", type=float, default=0.1, help="adoption threshold")
-    p.add_argument("--days", type=int, default=15, help="day cap per cascade")
+    p.add_argument("--k", type=_positive_int, default=10, help="top-k per centrality measure")
+    p.add_argument("--theta", type=_probability, default=0.1, help="adoption threshold")
+    p.add_argument("--days", type=_positive_int, default=15, help="day cap per cascade")
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("correlate", help="correlation matrix over the ranking columns")
     _add_common(p)
     _add_solver(p)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--theta", type=float, default=0.1)
-    p.add_argument("--days", type=int, default=15)
+    p.add_argument("--k", type=_positive_int, default=10)
+    p.add_argument("--theta", type=_probability, default=0.1)
+    p.add_argument("--days", type=_positive_int, default=15)
     p.set_defaults(func=_cmd_correlate)
 
     p = sub.add_parser("baseline", help="compare against seeded random graphs")
@@ -349,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("gnp", "watts_strogatz"), default="gnp")
     p.add_argument(
         "--p",
-        type=float,
+        type=_probability,
         action="append",
         help="edge (or rewire) probability; repeatable (default 0.05 and 0.10)",
     )
@@ -366,16 +391,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="full analysis into a report directory")
     p.add_argument("--input", required=True, help="edge CSV (header i,j)")
-    p.add_argument("--theta", type=float, default=0.1)
-    p.add_argument("--days", type=int, default=15)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--theta", type=_probability, default=0.1)
+    p.add_argument("--days", type=_positive_int, default=15)
+    p.add_argument("--k", type=_positive_int, default=10)
     p.add_argument("--full-network", action="store_true")
     p.add_argument("--seed", type=int, default=0, help="seed for any randomized stage")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default="report", help="report directory")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=1000)
+    p.add_argument("--max-iter", type=_positive_int, default=1000)
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

@@ -142,10 +142,11 @@ class IngestResult:
 def ingest_edge_csv(source: str | TextIO | Iterable[str]) -> IngestResult:
     """Parse a two-column edge CSV into a directed graph.
 
-    The first non-blank line must be a header.  Each following row is
-    ``i,j`` meaning account i follows account j.  Self-loops and repeated
-    rows are dropped and counted.  Malformed rows raise
-    :class:`EdgeListParseError` with the offending line number.
+    The first non-blank line must be a header; one that reads as two
+    integer ids is taken for a missing header and rejected, so no edge is
+    lost.  Each following row is ``i,j`` meaning account i follows account
+    j.  Self-loops and repeated rows are dropped and counted.  Malformed
+    rows raise :class:`EdgeListParseError` with the offending line number.
     """
     if isinstance(source, str):
         lines: Iterable[str] = io.StringIO(source)
@@ -163,6 +164,10 @@ def ingest_edge_csv(source: str | TextIO | Iterable[str]) -> IngestResult:
             continue
         if not header_seen:
             header_seen = True
+            if _is_edge_row(row):
+                raise EdgeListParseError(
+                    f"missing header row; first row {row!r} is an edge", line_no
+                )
             continue
         parts = row.split(",")
         if len(parts) != 2:
@@ -191,6 +196,18 @@ def ingest_edge_csv(source: str | TextIO | Iterable[str]) -> IngestResult:
     if dupes:
         log.warning("dropped %d duplicate row(s)", dupes)
     return IngestResult(DirectedGraph(edges), loops, dupes)
+
+
+def _is_edge_row(row: str) -> bool:
+    parts = row.split(",")
+    if len(parts) != 2:
+        return False
+    try:
+        int(parts[0].strip())
+        int(parts[1].strip())
+    except ValueError:
+        return False
+    return True
 
 
 def parse_edge_csv(source: str | TextIO | Iterable[str]) -> DirectedGraph:

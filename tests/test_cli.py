@@ -47,6 +47,57 @@ def test_help_exits_0(capsys):
     assert "pipeline" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["rank", "--theta", "2"], "--theta"),
+        (["rank", "--k", "0"], "--k"),
+        (["rank", "--threads", "0"], "--threads"),
+        (["rank", "--days", "0"], "--days"),
+        (["rank", "--k", "two"], "--k"),
+        (["correlate", "--theta", "nan"], "--theta"),
+        (["centrality", "--max-iter", "0"], "--max-iter"),
+        (["sweep", "--thetas", "0.1", "-0.5"], "--thetas"),
+        (["sweep", "--days", "0"], "--days"),
+        (["baseline", "--p", "1.5"], "--p"),
+        (["pipeline", "--days", "0"], "--days"),
+        (["pipeline", "--threads", "0"], "--threads"),
+        (["pipeline", "--max-iter", "-3"], "--max-iter"),
+    ],
+)
+def test_bad_flag_value_exits_1_before_reading_input(argv, flag, capsys):
+    # The input does not exist: reading it would exit 2, so exit 1 proves
+    # the value was rejected before any work ran.
+    rc = main(argv + ["--input", "/nope/absent.csv"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err
+    assert "absent.csv" not in err
+
+
+@pytest.mark.parametrize("command", ["stats", "baseline"])
+def test_threads_flag_only_where_work_is_parallel(command, capsys):
+    assert main([command, "--input", str(FIXTURE), "--threads", "2"]) == 1
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_flag_range_boundaries_are_accepted(capsys):
+    rc = main([
+        "rank", "--input", str(FIXTURE), "--theta", "0", "--k", "1", "--days", "1",
+    ])
+    assert rc == 0
+    assert main(["sweep", "--input", str(FIXTURE), "--thetas", "0", "1"]) == 0
+
+
+def test_headerless_csv_exits_2(tmp_path, capsys):
+    bare = tmp_path / "bare.csv"
+    bare.write_text("1,2\n2,3\n3,1\n", encoding="utf-8")
+    assert main(["stats", "--input", str(bare)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err
+    assert "header" in err
+
+
 def test_parse_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("i,j\n1,2\nnope\n", encoding="utf-8")

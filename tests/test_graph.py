@@ -39,6 +39,22 @@ def test_parse_empty_input_rejected():
         parse_edge_csv("")
 
 
+def test_parse_rejects_edge_in_header_position():
+    # Without a header the first edge would be swallowed as one.
+    with pytest.raises(EdgeListParseError, match="header") as err:
+        parse_edge_csv("1,2\n2,3\n3,1\n")
+    assert err.value.line_no == 1
+    with pytest.raises(EdgeListParseError) as err:
+        parse_edge_csv("\n 4 , 5 \n5,6\n")
+    assert err.value.line_no == 2
+
+
+def test_parse_accepts_any_non_numeric_header():
+    for header in ("i,j", "follower,followee", "source", "a,b,c", "1,x"):
+        g = parse_edge_csv(f"{header}\n1,2\n")
+        assert sorted(g.edges()) == [(1, 2)]
+
+
 def test_parse_wrong_arity_reports_line():
     with pytest.raises(EdgeListParseError) as err:
         parse_edge_csv("i,j\n1,2\n5\n")

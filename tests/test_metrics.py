@@ -9,6 +9,7 @@ import pytest
 
 from influnet import (
     DirectedGraph,
+    gnp_random,
     NetworkSummary,
     average_clustering,
     average_path_length,
@@ -19,7 +20,9 @@ from influnet import (
     summarize,
     summary_csv,
     to_edge_csv,
+    watts_strogatz,
 )
+from influnet import metrics
 from helpers import fw_distances, fw_path_stats, oracle_clustering, random_digraph
 
 
@@ -129,10 +132,72 @@ def test_summary_survives_round_trip():
     assert summarize(parse_edge_csv(to_edge_csv(g))) == summarize(g)
 
 
-def test_threads_do_not_change_results():
+def test_block_size_does_not_change_results(monkeypatch):
     rng = random.Random(41)
     g = random_digraph(rng, 20, 0.15)
-    assert summarize(g, threads=1) == summarize(g, threads=4)
+    whole = summarize(g)
+    monkeypatch.setattr(metrics, "BLOCK_BITS", 3)
+    assert summarize(g) == whole
+
+
+@pytest.mark.parametrize("block", [4, metrics.BLOCK_BITS])
+def test_path_stats_equal_floyd_warshall_across_blocks(monkeypatch, block):
+    # With block 4, n runs from below one block to several blocks.
+    monkeypatch.setattr(metrics, "BLOCK_BITS", block)
+    rng = random.Random(43)
+    for n in list(range(2, 14)) * 3:
+        g = random_digraph(rng, n, rng.choice((0.1, 0.2, 0.4)))
+        try:
+            expected = fw_path_stats(g)
+        except ValueError:
+            with pytest.raises(ValueError, match="no reachable pairs"):
+                metrics._distance_stats(g)
+            continue
+        assert metrics._distance_stats(g) == expected
+
+
+def test_path_stats_skip_unreachable_isolated_and_sparse_ids(monkeypatch):
+    monkeypatch.setattr(metrics, "BLOCK_BITS", 2)
+    # Two one-way chains with gapped ids, a mutual pair, and isolated nodes.
+    g = DirectedGraph(
+        [(100, 7), (7, 3000), (42, 900), (5, 6), (6, 5)], nodes=[1, 55, 8000]
+    )
+    apl, diam = fw_path_stats(g)
+    assert (average_path_length(g), diameter(g)) == (apl, diam)
+    # Reached pairs: 100-7, 7-3000, 100-3000, 42-900, 5-6, 6-5.
+    assert apl == 7 / 6
+    assert diam == 2
+
+
+def test_path_stats_on_undirected_baselines(monkeypatch):
+    monkeypatch.setattr(metrics, "BLOCK_BITS", 8)
+    graphs = [gnp_random(n, p, seed) for n, p, seed in ((12, 0.2, 1), (20, 0.15, 2), (30, 0.1, 3))]
+    graphs += [watts_strogatz(n, 4, p, seed) for n, p, seed in ((12, 0.0, 4), (25, 0.2, 5))]
+    for g in graphs:
+        apl, diam = fw_path_stats(g)
+        assert average_path_length(g) == apl
+        assert diameter(g) == diam
+        ref = oracle_clustering(g)
+        assert local_clustering(g) == ref
+
+
+def test_path_stats_errors_survive_small_blocks(monkeypatch):
+    monkeypatch.setattr(metrics, "BLOCK_BITS", 1)
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        summarize(DirectedGraph([], nodes=[4]))
+    with pytest.raises(ValueError, match="no reachable pairs"):
+        diameter(DirectedGraph([], nodes=[4, 9, 11]))
+
+
+def test_clustering_with_mutual_arcs_matches_oracle():
+    rng = random.Random(47)
+    for _ in range(25):
+        g = random_digraph(rng, rng.randint(3, 15), 0.3)
+        arcs = set(g.arc_set())
+        # Make about half the arcs mutual, so projected pairs repeat.
+        arcs |= {(j, i) for i, j in sorted(arcs) if rng.random() < 0.5}
+        g = DirectedGraph(sorted(arcs), nodes=g.nodes)
+        assert local_clustering(g) == oracle_clustering(g)
 
 
 def test_sigma_is_ratio_of_ratios():
