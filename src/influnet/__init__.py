@@ -35,7 +35,6 @@ from .graph import (
     ingest_edge_csv,
     largest_core,
     parse_edge_csv,
-    reverse,
     to_edge_csv,
     weakly_connected_components,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "rank_csv",
     "recommend",
     "recommendation_json",
-    "reverse",
     "run_pipeline",
     "select_candidates",
     "small_world_sigma",

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 from .errors import ConvergenceError
 from .graph import DirectedGraph
-from .parallel import pmap
 
 log = logging.getLogger(__name__)
 
@@ -60,44 +59,15 @@ def degree_table(g: DirectedGraph) -> CentralityTable:
     )
 
 
-def _brandes_source(adj: list[list[int]], s: int) -> list[float]:
-    """One source's dependency contribution to every node (Brandes)."""
-    n = len(adj)
-    sigma = [0] * n
-    dist = [-1] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
-    sigma[s] = 1
-    dist[s] = 0
-    order: list[int] = []
-    queue = [s]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        order.append(v)
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-            if dist[w] == dist[v] + 1:
-                sigma[w] += sigma[v]
-                preds[w].append(v)
-    delta = [0.0] * n
-    contrib = [0.0] * n
-    for w in reversed(order):
-        coeff = (1.0 + delta[w]) / sigma[w]
-        for v in preds[w]:
-            delta[v] += sigma[v] * coeff
-        if w != s:
-            contrib[w] = delta[w]
-    return contrib
-
-
-def betweenness_centrality(g: DirectedGraph, threads: int = 1) -> CentralityTable:
+def betweenness_centrality(g: DirectedGraph) -> CentralityTable:
     """Fraction of directed shortest paths passing through each node.
 
-    Scores are summed per source in node order, so the result is identical
-    for every thread count.
+    Brandes' algorithm with dependencies accumulated in successor form:
+    each source's BFS keeps distances, path counts and visit order only,
+    and the backward pass adds every node's dependency straight into the
+    running total.  Sources are folded in node order, and the inner sums
+    are plain left-to-right float additions, so the result does not depend
+    on the interpreter's ``sum`` implementation.
     """
     ids = sorted(g.nodes)
     n = len(ids)
@@ -107,9 +77,38 @@ def betweenness_centrality(g: DirectedGraph, threads: int = 1) -> CentralityTabl
     pos = {v: k for k, v in enumerate(ids)}
     adj = [[pos[w] for w in g.out_neighbors(v)] for v in ids]
     acc = [0.0] * n
-    for contrib in pmap(lambda s: _brandes_source(adj, s), range(n), threads):
-        for k in range(n):
-            acc[k] += contrib[k]
+    # coeff[x] = (1 + delta[x]) / sigma[x]; an entry is read only for a node
+    # one level deeper than the reader in the current source's BFS, and such
+    # a node was written earlier in the same backward pass, so the list is
+    # never reset between sources.
+    coeff = [0.0] * n
+    for s in range(n):
+        dist = [-1] * n
+        sigma = [0] * n
+        dist[s] = 0
+        sigma[s] = 1
+        order = [s]
+        for v in order:  # order grows while it is walked: a FIFO queue
+            d = dist[v] + 1
+            sv = sigma[v]
+            for w in adj[v]:
+                dw = dist[w]
+                if dw < 0:
+                    dist[w] = d
+                    sigma[w] = sv
+                    order.append(w)
+                elif dw == d:
+                    sigma[w] += sv
+        for w in order[:0:-1]:  # reverse BFS order, source excluded
+            d = dist[w] + 1
+            t = 0.0
+            for x in adj[w]:
+                if dist[x] == d:
+                    t += coeff[x]
+            sw = sigma[w]
+            delta = sw * t
+            coeff[w] = (1.0 + delta) / sw
+            acc[w] += delta
     scale = 1.0 / ((n - 1) * (n - 2))
     return CentralityTable(betweenness={ids[k]: acc[k] * scale for k in range(n)})
 
@@ -119,6 +118,7 @@ def eigenvector_centrality(
     tol: float = 1e-10,
     max_iter: int = 1000,
     start: dict[int, float] | None = None,
+    shifted: bool = False,
 ) -> CentralityTable:
     """Dominant-eigenvector scores by power iteration.
 
@@ -127,6 +127,12 @@ def eigenvector_centrality(
     largest componentwise change drops below ``tol`` and the vector is an
     eigenvector to within a small residual; exceeding ``max_iter`` raises
     :class:`ConvergenceError` carrying the last iterate.
+
+    With ``shifted`` the step also adds the node's own score, iterating
+    A + I instead of A.  The eigenvectors are the same, but on a strongly
+    connected graph whose cycle lengths share a factor (a bipartite core,
+    say) the dominant eigenvalue of A + I is strictly dominant, so the
+    iteration settles where plain iteration oscillates forever.
     """
     if g.node_count == 0:
         raise ValueError("empty graph")
@@ -134,6 +140,9 @@ def eigenvector_centrality(
     n = len(ids)
     pos = {v: k for k, v in enumerate(ids)}
     followers = [[pos[u] for u in g.in_neighbors(v)] for v in ids]
+    if shifted:
+        for k, f in enumerate(followers):
+            f.append(k)
     if start is None:
         x = [1.0 / math.sqrt(n)] * n
     else:
@@ -168,14 +177,22 @@ def full_table(
     g: DirectedGraph,
     tol: float = 1e-10,
     max_iter: int = 1000,
-    threads: int = 1,
 ) -> CentralityTable:
-    """All four measures for one graph."""
-    return combine(
-        degree_table(g),
-        betweenness_centrality(g, threads=threads),
-        eigenvector_centrality(g, tol=tol, max_iter=max_iter),
-    )
+    """All four measures for one graph.
+
+    If plain eigenvector iteration does not settle, it is retried once with
+    shifted iteration (A + I), which has the same eigenvectors.
+    """
+    try:
+        eig = eigenvector_centrality(g, tol=tol, max_iter=max_iter)
+    except ConvergenceError as exc:
+        log.warning(
+            "%s (residual %.3g); retrying with shifted iteration A + I",
+            exc,
+            exc.residual,
+        )
+        eig = eigenvector_centrality(g, tol=tol, max_iter=max_iter, shifted=True)
+    return combine(degree_table(g), betweenness_centrality(g), eig)
 
 
 def top_k(table: CentralityTable, measure: str, k: int) -> list[int]:

@@ -6,8 +6,8 @@ writes a report directory.  Exit codes: 0 success, 1 usage error
 (including a flag value out of range, caught before any work runs), 2
 unreadable or invalid data, 3 iteration failed to converge.  Reruns with
 the same inputs and seed are byte-identical; ``--threads`` (on the
-subcommands that compute betweenness and cascades) changes the schedule,
-never the bytes.
+subcommands that run cascades: ``rank``, ``correlate`` and ``pipeline``)
+changes the schedule, never the bytes.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class PipelineConfig:
     top_k: int = 10
     thetas: tuple[float, ...] = DEFAULT_THETAS
     use_core: bool = True
-    rng_seed: int = 0
     output_format: str = "csv"
     out_dir: Path = Path("report")
     threads: int = 1
@@ -68,12 +67,24 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _summary_rows(
+    g: DirectedGraph, core: DirectedGraph
+) -> list[tuple[str, metrics.NetworkSummary]]:
+    """The "full" row, and a "core" row when the core has a pair of nodes.
+
+    When the graph is its own core the full summary is reused, so the
+    all-pairs sweep runs once.
+    """
+    full = metrics.summarize(g)
+    rows = [("full", full)]
+    if core.node_count >= 2:
+        rows.append(("core", full if core is g else metrics.summarize(core)))
+    return rows
+
+
 def _cmd_stats(args: argparse.Namespace) -> int:
     g = _read_graph(Path(args.input))
-    rows = [("full", metrics.summarize(g))]
-    core = largest_core(g)
-    if core.node_count >= 2:
-        rows.append(("core", metrics.summarize(core)))
+    rows = _summary_rows(g, largest_core(g))
     text = (
         metrics.summary_json(rows)
         if args.format == "json"
@@ -85,9 +96,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_centrality(args: argparse.Namespace) -> int:
     g = _region(_read_graph(Path(args.input)), not args.full_network)
-    table = centrality.full_table(
-        g, tol=args.tol, max_iter=args.max_iter, threads=args.threads
-    )
+    table = centrality.full_table(g, tol=args.tol, max_iter=args.max_iter)
     text = (
         centrality.centrality_json(table)
         if args.format == "json"
@@ -115,9 +124,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _ranked_records(args: argparse.Namespace) -> list[ranking.RankRecord]:
     g = _region(_read_graph(Path(args.input)), not args.full_network)
-    table = centrality.full_table(
-        g, tol=args.tol, max_iter=args.max_iter, threads=args.threads
-    )
+    table = centrality.full_table(g, tol=args.tol, max_iter=args.max_iter)
     candidates = ranking.select_candidates(table, args.k)
     config = diffusion.DiffusionConfig(theta=args.theta, max_days=args.days)
     return ranking.rank_candidates(g, candidates, config, table, threads=args.threads)
@@ -218,13 +225,9 @@ def run_pipeline(config: PipelineConfig) -> ranking.Recommendation:
     """
     g = _read_graph(config.input_path)
     core = largest_core(g)
-    summary_rows = [("full", metrics.summarize(g))]
-    if core.node_count >= 2:
-        summary_rows.append(("core", metrics.summarize(core)))
+    summary_rows = _summary_rows(g, core)
     region = core if config.use_core else g
-    table = centrality.full_table(
-        region, tol=config.tol, max_iter=config.max_iter, threads=config.threads
-    )
+    table = centrality.full_table(region, tol=config.tol, max_iter=config.max_iter)
     candidates = ranking.select_candidates(table, config.top_k)
     diff_config = diffusion.DiffusionConfig(theta=config.theta, max_days=config.max_days)
     records = ranking.rank_candidates(
@@ -265,7 +268,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         max_days=args.days,
         top_k=args.k,
         use_core=not args.full_network,
-        rng_seed=args.seed,
         output_format=args.format,
         out_dir=Path(args.out),
         threads=args.threads,
@@ -322,7 +324,17 @@ def _add_solver(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--max-iter", type=_positive_int, default=1000, help="eigenvector iteration cap"
     )
-    p.add_argument("--threads", type=_positive_int, default=1, help="worker threads")
+
+
+def _add_ranking(p: argparse.ArgumentParser) -> None:
+    """Flags of the subcommands that rank candidates by their cascades."""
+    _add_solver(p)
+    p.add_argument("--k", type=_positive_int, default=10, help="top-k per centrality measure")
+    p.add_argument("--theta", type=_probability, default=0.1, help="adoption threshold")
+    p.add_argument("--days", type=_positive_int, default=15, help="day cap per cascade")
+    p.add_argument(
+        "--threads", type=_positive_int, default=1, help="worker threads for cascades"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,18 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rank candidate seeds by spreading score")
     _add_common(p)
-    _add_solver(p)
-    p.add_argument("--k", type=_positive_int, default=10, help="top-k per centrality measure")
-    p.add_argument("--theta", type=_probability, default=0.1, help="adoption threshold")
-    p.add_argument("--days", type=_positive_int, default=15, help="day cap per cascade")
+    _add_ranking(p)
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("correlate", help="correlation matrix over the ranking columns")
     _add_common(p)
-    _add_solver(p)
-    p.add_argument("--k", type=_positive_int, default=10)
-    p.add_argument("--theta", type=_probability, default=0.1)
-    p.add_argument("--days", type=_positive_int, default=15)
+    _add_ranking(p)
     p.set_defaults(func=_cmd_correlate)
 
     p = sub.add_parser("baseline", help="compare against seeded random graphs")
@@ -395,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--days", type=_positive_int, default=15)
     p.add_argument("--k", type=_positive_int, default=10)
     p.add_argument("--full-network", action="store_true")
-    p.add_argument("--seed", type=int, default=0, help="seed for any randomized stage")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default="report", help="report directory")
     p.add_argument("--threads", type=_positive_int, default=1)

@@ -225,13 +225,6 @@ def to_edge_csv(g: DirectedGraph) -> str:
     return "\n".join(out) + "\n"
 
 
-def reverse(g: DirectedGraph) -> DirectedGraph:
-    """Flip every arc.  Rejects undirected graphs, where reversal is a no-op."""
-    if not g.directed:
-        raise ValueError("reverse is only defined for directed graphs")
-    return DirectedGraph(((j, i) for i, j in g.arc_set()), nodes=g.nodes)
-
-
 def weakly_connected_components(g: DirectedGraph) -> list[frozenset[int]]:
     """Components of the graph with edge direction ignored.
 
@@ -266,7 +259,14 @@ def induced_subgraph(g: DirectedGraph, keep: Iterable[int]) -> DirectedGraph:
 
 
 def largest_core(g: DirectedGraph) -> DirectedGraph:
-    """Induced subgraph on the largest weakly connected component."""
+    """Induced subgraph on the largest weakly connected component.
+
+    A weakly connected graph is its own core and comes back as the same
+    object, so callers can test ``core is g`` to skip repeating work.
+    """
     if g.node_count == 0:
         raise ValueError("empty graph has no core")
-    return induced_subgraph(g, weakly_connected_components(g)[0])
+    comps = weakly_connected_components(g)
+    if len(comps) == 1:
+        return g
+    return induced_subgraph(g, comps[0])

@@ -75,13 +75,56 @@ def test_betweenness_matches_enumeration_oracle():
             assert abs(t.betweenness[v] - float(ref[v])) < 1e-12
 
 
-def test_betweenness_identical_across_threads():
-    rng = random.Random(47)
-    for _ in range(5):
-        g = random_digraph(rng, 15, 0.2)
-        a = betweenness_centrality(g, threads=1).betweenness
-        b = betweenness_centrality(g, threads=3).betweenness
-        assert a == b
+def _layered_bipartite(widths: list[int], gap: int) -> DirectedGraph:
+    """Complete bipartite arcs between consecutive layers; ids spaced by gap."""
+    layers, nxt = [], 0
+    for w in widths:
+        layers.append([gap * (nxt + k) for k in range(w)])
+        nxt += w
+    edges = [(u, v) for a, b in zip(layers, layers[1:]) for u in a for v in b]
+    return DirectedGraph(edges)
+
+
+@pytest.mark.parametrize(
+    "widths, gap",
+    [([1, 3, 4, 3, 1], 1), ([2, 5, 5, 5, 2], 7), ([1, 4, 4, 4, 4, 1], 3)],
+)
+def test_betweenness_many_tied_paths_matches_oracle(widths, gap):
+    # Up to 4**4 = 256 tied shortest paths per pair, so sigma >> 1.
+    g = _layered_bipartite(widths, gap)
+    t = betweenness_centrality(g)
+    ref = oracle_betweenness(g)
+    for v in g.nodes:
+        assert abs(t.betweenness[v] - float(ref[v])) < 1e-12
+
+
+def test_betweenness_gapped_ids_and_unreachable_pairs_match_oracle():
+    # Two weak components with sparse ids, a sink, a source and an isolated
+    # node: most ordered pairs have no path at all.
+    edges = [(10, 40), (40, 90), (90, 10), (40, 1000), (5, 10), (700, 3000), (3000, 12)]
+    g = DirectedGraph(edges, nodes=[555])
+    t = betweenness_centrality(g)
+    ref = oracle_betweenness(g)
+    assert ref[40] > 0 and ref[3000] > 0
+    for v in g.nodes:
+        assert abs(t.betweenness[v] - float(ref[v])) < 1e-12
+
+
+def test_betweenness_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(61)
+    for k in range(12):
+        g = random_digraph(rng, rng.randint(3, 40), rng.choice([0.05, 0.1, 0.3]))
+        if k % 3 == 0:  # spread the ids apart
+            g = DirectedGraph(((7 * i + 2, 7 * j + 2) for i, j in g.edges()),
+                              nodes=(7 * v + 2 for v in g.nodes))
+        ng = nx.DiGraph()
+        ng.add_nodes_from(g.nodes)
+        ng.add_edges_from(g.edges())
+        ref = nx.betweenness_centrality(ng, normalized=True)
+        t = betweenness_centrality(g)
+        for v in g.nodes:
+            assert abs(t.betweenness[v] - ref[v]) < 1e-12
 
 
 def test_eigenvector_mutual_triangle_is_uniform():
@@ -199,3 +242,17 @@ def test_centrality_csv_sorted_by_followers():
     lines = centrality_csv(full_table(g)).splitlines()
     assert lines[0] == "node,in_degree,out_degree,betweenness,eigenvector"
     assert [row.split(",")[0] for row in lines[1:]] == ["1", "2", "3"]
+
+
+def test_full_table_retries_periodic_core_with_shift(caplog):
+    # Mutual-follow path 1<->2<->3: bipartite, so plain iteration oscillates.
+    g = DirectedGraph([(1, 2), (2, 1), (2, 3), (3, 2)])
+    with pytest.raises(ConvergenceError):
+        eigenvector_centrality(g)
+    with caplog.at_level("WARNING"):
+        x = full_table(g).eigenvector
+    assert any("shifted" in r.message for r in caplog.records)
+    # The path's Perron vector is (1, sqrt 2, 1) / 2.
+    assert x[1] == pytest.approx(0.5, abs=1e-9)
+    assert x[2] == pytest.approx(math.sqrt(0.5), abs=1e-9)
+    assert x[3] == pytest.approx(0.5, abs=1e-9)

@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from influnet import metrics
 from influnet.cli import main
 from helpers import FIXTURE
 
@@ -75,10 +76,17 @@ def test_bad_flag_value_exits_1_before_reading_input(argv, flag, capsys):
     assert "absent.csv" not in err
 
 
-@pytest.mark.parametrize("command", ["stats", "baseline"])
+@pytest.mark.parametrize("command", ["stats", "baseline", "centrality"])
 def test_threads_flag_only_where_work_is_parallel(command, capsys):
     assert main([command, "--input", str(FIXTURE), "--threads", "2"]) == 1
     assert "--threads" in capsys.readouterr().err
+
+
+def test_pipeline_seed_flag_is_gone(tmp_path, capsys):
+    # No pipeline stage is randomized, so there is no seed to take.
+    assert main(["pipeline", "--input", str(FIXTURE), "--seed", "3",
+                 "--out", str(tmp_path / "r")]) == 1
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_flag_range_boundaries_are_accepted(capsys):
@@ -106,17 +114,40 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def _write_unsettling(tmp_path):
+    """Two mutual pairs, one following into the other.
+
+    Plain iteration oscillates (eigenvalues +1 and -1), and the shifted
+    retry only crawls, because A + I has a defective double eigenvalue 2;
+    neither settles within any practical budget.
+    """
+    path = tmp_path / "pairs.csv"
+    path.write_text("i,j\n1,2\n2,1\n3,4\n4,3\n3,1\n", encoding="utf-8")
+    return path
+
+
 def test_nonconvergence_exits_3(tmp_path, capsys):
-    # Mutual star: bipartite, so power iteration oscillates forever.
-    star = tmp_path / "star.csv"
-    rows = ["i,j"]
-    for leaf in (1, 2, 3):
-        rows.append(f"0,{leaf}")
-        rows.append(f"{leaf},0")
-    star.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    rc = main(["centrality", "--input", str(star), "--max-iter", "40"])
+    rc = main(["centrality", "--input", str(_write_unsettling(tmp_path)), "--max-iter", "40"])
     assert rc == 3
-    assert "did not settle" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "retrying with shifted iteration" in err
+    assert "did not settle" in err
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "1,2\n2,1\n2,3\n3,2\n",  # mutual-follow path
+        "0,1\n1,0\n0,2\n2,0\n0,3\n3,0\n",  # mutual star
+    ],
+)
+def test_rank_on_bipartite_core_settles_by_shift(tmp_path, rows, capsys):
+    path = tmp_path / "bipartite.csv"
+    path.write_text("i,j\n" + rows, encoding="utf-8")
+    assert main(["rank", "--input", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "WARNING" in captured.err and "shifted" in captured.err
+    assert read_csv(captured.out)[0][0] == "node"
 
 
 def test_stats_reports_full_and_core(capsys):
@@ -131,6 +162,21 @@ def test_stats_reports_full_and_core(capsys):
     assert byname["full"][6] == "3"
     assert byname["core"][1:3] == ["8", "14"]
     assert byname["core"][6] == "1"
+
+
+@pytest.mark.parametrize("command", ["stats", "pipeline"])
+def test_connected_input_is_summarized_once(command, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "ring.csv"
+    path.write_text("i,j\n1,2\n2,3\n3,4\n4,1\n1,3\n", encoding="utf-8")
+    calls = []
+    real = metrics.summarize
+    monkeypatch.setattr(metrics, "summarize", lambda g: calls.append(g) or real(g))
+    out = tmp_path / "out"
+    assert main([command, "--input", str(path), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    text = (out / "summary.csv" if command == "pipeline" else out).read_text()
+    full, core = text.splitlines()[1:]
+    assert full.replace("full", "core", 1) == core
 
 
 def test_stats_json(capsys):
@@ -263,15 +309,10 @@ def test_pipeline_full_network(tmp_path):
 
 
 def test_pipeline_failure_leaves_no_partial_report(tmp_path, capsys):
-    star = tmp_path / "star.csv"
-    rows = ["i,j"]
-    for leaf in (1, 2, 3):
-        rows.append(f"0,{leaf}")
-        rows.append(f"{leaf},0")
-    star.write_text("\n".join(rows) + "\n", encoding="utf-8")
     out = tmp_path / "report"
     rc = main([
-        "pipeline", "--input", str(star), "--max-iter", "30", "--out", str(out),
+        "pipeline", "--input", str(_write_unsettling(tmp_path)), "--max-iter", "30",
+        "--out", str(out),
     ])
     assert rc == 3
     assert not out.exists()

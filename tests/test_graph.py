@@ -13,7 +13,6 @@ from influnet import (
     ingest_edge_csv,
     largest_core,
     parse_edge_csv,
-    reverse,
     to_edge_csv,
     weakly_connected_components,
 )
@@ -119,31 +118,6 @@ def test_degree_sums_match_edge_count():
         assert sum(g.out_degree(v) for v in g.nodes) == g.edge_count
 
 
-def test_reverse_flips_arcs():
-    g = reverse(DirectedGraph([(1, 2), (3, 2)]))
-    assert sorted(g.edges()) == [(2, 1), (2, 3)]
-
-
-def test_reverse_is_involution():
-    rng = random.Random(11)
-    for _ in range(10):
-        g = random_digraph(rng, 12, 0.25)
-        assert reverse(reverse(g)) == g
-
-
-def test_reverse_preserves_components():
-    rng = random.Random(13)
-    g = random_digraph(rng, 20, 0.08)
-    before = {frozenset(c) for c in weakly_connected_components(g)}
-    after = {frozenset(c) for c in weakly_connected_components(reverse(g))}
-    assert before == after
-
-
-def test_reverse_rejects_undirected():
-    with pytest.raises(ValueError):
-        reverse(DirectedGraph([(1, 2)], directed=False))
-
-
 def test_components_split_and_order():
     comps = weakly_connected_components(DirectedGraph([(1, 2), (3, 4)]))
     assert comps == [frozenset({1, 2}), frozenset({3, 4})]
@@ -182,14 +156,19 @@ def test_components_partition_nodes():
 
 
 def test_largest_core_picks_biggest_component():
-    core = largest_core(DirectedGraph([(1, 2), (2, 3), (8, 9)]))
+    g = DirectedGraph([(1, 2), (2, 3), (8, 9)])
+    core = largest_core(g)
+    assert core is not g
     assert core.nodes == {1, 2, 3}
     assert core.edge_count == 2
 
 
 def test_largest_core_of_connected_graph_is_identity():
     g = DirectedGraph([(1, 2), (2, 3), (3, 1)])
-    assert largest_core(g) == g
+    assert largest_core(g) is g
+    # One isolated node is a fringe: the core is rebuilt without it.
+    fringed = DirectedGraph(g.edges(), nodes=[7])
+    assert largest_core(fringed) == g
 
 
 def test_largest_core_rejects_empty():
