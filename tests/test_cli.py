@@ -10,7 +10,7 @@ import pytest
 
 from influnet import metrics
 from influnet.cli import main
-from helpers import FIXTURE
+from helpers import FIXTURE, GOLDEN_DIR
 
 REPORT_FILES = (
     "summary.csv",
@@ -21,8 +21,43 @@ REPORT_FILES = (
 )
 
 
+# Report commands pinned byte-for-byte on the fixture, by golden file stem.
+# Each golden under golden/cli is the stdout of `influnet <argv> --input
+# follows12.csv --format <csv|json>`; the pipeline's CSV directory is the
+# C8 golden set itself.
+GOLDEN_COMMANDS = {
+    "stats": ["stats"],
+    "centrality": ["centrality"],
+    "centrality_full": ["centrality", "--full-network"],
+    "sweep": ["sweep"],
+    "rank": ["rank"],
+    "correlate": ["correlate"],
+    "baseline_ws": ["baseline", "--model", "watts_strogatz", "--ws-k", "4", "--p", "0.1"],
+    "pipeline": ["pipeline"],
+}
+
+
 def read_csv(text: str) -> list[list[str]]:
     return list(csv.reader(io.StringIO(text), strict=True))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_report_bytes_match_golden(name, fmt, tmp_path, capsys):
+    argv = [*GOLDEN_COMMANDS[name], "--input", str(FIXTURE), "--format", fmt]
+    if name != "pipeline":
+        assert main(argv) == 0
+        golden = GOLDEN_DIR / "cli" / f"{name}.{fmt}"
+        assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+        return
+    out = tmp_path / "report"
+    assert main([*argv, "--out", str(out)]) == 0
+    names = [f"{stem}.{fmt}" for stem in ("summary", "centrality", "rank", "correlation")]
+    names.append("recommendation.json")
+    assert sorted(f.name for f in out.iterdir()) == sorted(names)
+    golden = GOLDEN_DIR if fmt == "csv" else GOLDEN_DIR / "pipeline_json"
+    for f in names:
+        assert (out / f).read_bytes() == (golden / f).read_bytes(), f
 
 
 def test_missing_input_exits_2(capsys):
