@@ -9,7 +9,6 @@ from .baselines import RandomGraphSpec, generate, gnp_random, watts_strogatz
 from .centrality import (
     CentralityTable,
     betweenness_centrality,
-    centrality_csv,
     combine,
     degree_table,
     eigenvector_centrality,
@@ -24,7 +23,6 @@ from .diffusion import (
     spreading_capacity,
     spreading_score,
     threshold_sweep,
-    trace_csv,
 )
 from .errors import ConvergenceError, EdgeListParseError
 from .export import export_graph
@@ -47,20 +45,18 @@ from .metrics import (
     local_clustering,
     small_world_sigma,
     summarize,
-    summary_csv,
 )
 from .ranking import (
     CorrelationMatrix,
     RankRecord,
     Recommendation,
-    correlation_csv,
     correlation_matrix,
     rank_candidates,
-    rank_csv,
     recommend,
     recommendation_json,
     select_candidates,
 )
+from .table import render
 
 __version__ = "0.1.0"
 
@@ -82,9 +78,7 @@ __all__ = [
     "average_clustering",
     "average_path_length",
     "betweenness_centrality",
-    "centrality_csv",
     "combine",
-    "correlation_csv",
     "correlation_matrix",
     "degree_table",
     "diameter",
@@ -101,20 +95,18 @@ __all__ = [
     "main",
     "parse_edge_csv",
     "rank_candidates",
-    "rank_csv",
     "recommend",
     "recommendation_json",
+    "render",
     "run_pipeline",
     "select_candidates",
     "small_world_sigma",
     "spreading_capacity",
     "spreading_score",
     "summarize",
-    "summary_csv",
     "threshold_sweep",
     "to_edge_csv",
     "top_k",
-    "trace_csv",
     "watts_strogatz",
     "weakly_connected_components",
 ]

@@ -9,7 +9,6 @@ norm.  Degree columns come straight off the adjacency.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -206,34 +205,22 @@ def top_k(table: CentralityTable, measure: str, k: int) -> list[int]:
     return ranked[:k]
 
 
-CENTRALITY_CSV_HEADER = "node,in_degree,out_degree,betweenness,eigenvector"
+CENTRALITY_COLUMNS = (
+    ("node", False),
+    ("in_degree", False),
+    ("out_degree", False),
+    ("betweenness", True),
+    ("eigenvector", True),
+)
 
 
-def centrality_csv(table: CentralityTable) -> str:
-    """Render a full table as CSV, sorted by in-degree then node id."""
+def centrality_rows(table: CentralityTable) -> list[tuple]:
+    """Rows of a full table, sorted by in-degree then node id."""
     ind = table.column("in_degree")
     outd = table.column("out_degree")
     btw = table.column("betweenness")
     eig = table.column("eigenvector")
-    out = [CENTRALITY_CSV_HEADER]
-    for v in sorted(ind, key=lambda v: (-ind[v], v)):
-        out.append(f"{v},{ind[v]},{outd[v]},{btw[v]:.6f},{eig[v]:.6f}")
-    return "\n".join(out) + "\n"
-
-
-def centrality_json(table: CentralityTable) -> str:
-    ind = table.column("in_degree")
-    outd = table.column("out_degree")
-    btw = table.column("betweenness")
-    eig = table.column("eigenvector")
-    payload = [
-        {
-            "node": v,
-            "in_degree": ind[v],
-            "out_degree": outd[v],
-            "betweenness": round(btw[v], 6),
-            "eigenvector": round(eig[v], 6),
-        }
+    return [
+        (v, ind[v], outd[v], btw[v], eig[v])
         for v in sorted(ind, key=lambda v: (-ind[v], v))
     ]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

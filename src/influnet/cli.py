@@ -13,15 +13,15 @@ changes the schedule, never the bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 from . import baselines, centrality, diffusion, export, metrics, ranking
 from .errors import ConvergenceError, EdgeListParseError
 from .graph import DirectedGraph, ingest_edge_csv, largest_core
+from .table import dump_json, records, render
 
 log = logging.getLogger(__name__)
 
@@ -67,42 +67,37 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _summary_rows(
-    g: DirectedGraph, core: DirectedGraph
-) -> list[tuple[str, metrics.NetworkSummary]]:
+def _summary_rows(g: DirectedGraph, core: DirectedGraph) -> list[tuple]:
     """The "full" row, and a "core" row when the core has a pair of nodes.
 
     When the graph is its own core the full summary is reused, so the
     all-pairs sweep runs once.
     """
     full = metrics.summarize(g)
-    rows = [("full", full)]
+    rows = [("full", *astuple(full))]
     if core.node_count >= 2:
-        rows.append(("core", full if core is g else metrics.summarize(core)))
+        rows.append(("core", *astuple(full if core is g else metrics.summarize(core))))
     return rows
+
+
+def _correlation_report(matrix: ranking.CorrelationMatrix, fmt: str) -> str:
+    if fmt == "json":
+        return ranking.correlation_json(matrix)
+    return render(*ranking.correlation_table(matrix), fmt)
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     g = _read_graph(Path(args.input))
     rows = _summary_rows(g, largest_core(g))
-    text = (
-        metrics.summary_json(rows)
-        if args.format == "json"
-        else metrics.summary_csv(rows)
-    )
-    _emit(text, args.out)
+    _emit(render(metrics.SUMMARY_COLUMNS, rows, args.format), args.out)
     return 0
 
 
 def _cmd_centrality(args: argparse.Namespace) -> int:
     g = _region(_read_graph(Path(args.input)), not args.full_network)
     table = centrality.full_table(g, tol=args.tol, max_iter=args.max_iter)
-    text = (
-        centrality.centrality_json(table)
-        if args.format == "json"
-        else centrality.centrality_csv(table)
-    )
-    _emit(text, args.out)
+    rows = centrality.centrality_rows(table)
+    _emit(render(centrality.CENTRALITY_COLUMNS, rows, args.format), args.out)
     return 0
 
 
@@ -113,11 +108,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         seed = max(sorted(g.nodes), key=lambda v: g.in_degree(v))
     traces = diffusion.threshold_sweep(g, seed, args.thetas, args.days)
-    text = (
-        diffusion.trace_json(traces)
-        if args.format == "json"
-        else diffusion.trace_csv(traces)
-    )
+    # JSON keeps one object per trace; CSV spells out one row per day.
+    if args.format == "json":
+        text = render(diffusion.TRACE_COLUMNS, diffusion.trace_rows(traces), "json")
+    else:
+        text = render(diffusion.DAY_COLUMNS, diffusion.day_rows(traces), "csv")
     _emit(text, args.out)
     return 0
 
@@ -131,31 +126,21 @@ def _ranked_records(args: argparse.Namespace) -> list[ranking.RankRecord]:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    records = _ranked_records(args)
-    text = (
-        ranking.rank_json(records)
-        if args.format == "json"
-        else ranking.rank_csv(records)
-    )
-    _emit(text, args.out)
+    rows = [astuple(r) for r in _ranked_records(args)]
+    _emit(render(ranking.RANK_COLUMNS, rows, args.format), args.out)
     return 0
 
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
     matrix = ranking.correlation_matrix(_ranked_records(args))
-    text = (
-        ranking.correlation_json(matrix)
-        if args.format == "json"
-        else ranking.correlation_csv(matrix)
-    )
-    _emit(text, args.out)
+    _emit(_correlation_report(matrix, args.format), args.out)
     return 0
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     g = _read_graph(Path(args.input))
     actual = metrics.summarize(g)
-    rows = [("actual", actual)]
+    rows = [("actual", *astuple(actual))]
     verdicts = []
     ps = args.p if args.p else [0.05, 0.10]
     for idx, p in enumerate(ps):
@@ -168,9 +153,9 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         )
         label = f"{spec.model}_p{p:g}"
         base = metrics.summarize(baselines.generate(spec))
-        rows.append((label, base))
+        rows.append((label, *astuple(base)))
         verdict = metrics.small_world_sigma(actual, base)
-        verdicts.append((label, verdict))
+        verdicts.append((label, *astuple(verdict)))
         log.info(
             "sigma vs %s: %.6f (%s)",
             label,
@@ -178,33 +163,12 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
             "small-world" if verdict.is_small_world else "not small-world",
         )
     if args.format == "json":
-        payload = {
-            "summaries": [
-                {
-                    "network": label,
-                    "nodes": s.node_count,
-                    "edges": s.edge_count,
-                    "avg_path_length": round(s.average_path_length, 6),
-                    "avg_clustering": round(s.average_clustering, 6),
-                    "diameter": s.diameter,
-                    "components": s.component_count,
-                }
-                for label, s in rows
-            ],
-            "verdicts": [
-                {
-                    "baseline": label,
-                    "sigma": round(v.sigma, 6),
-                    "clustering_ratio": round(v.clustering_ratio, 6),
-                    "path_length_ratio": round(v.path_length_ratio, 6),
-                    "is_small_world": v.is_small_world,
-                }
-                for label, v in verdicts
-            ],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = dump_json({
+            "summaries": records(metrics.SUMMARY_COLUMNS, rows),
+            "verdicts": records(metrics.VERDICT_COLUMNS, verdicts),
+        })
     else:
-        text = metrics.summary_csv(rows)
+        text = render(metrics.SUMMARY_COLUMNS, rows, "csv")
     _emit(text, args.out)
     return 0
 
@@ -236,21 +200,16 @@ def run_pipeline(config: PipelineConfig) -> ranking.Recommendation:
     matrix = ranking.correlation_matrix(records)
     rec = ranking.recommend(records)
 
-    if config.output_format == "json":
-        files = {
-            "summary.json": metrics.summary_json(summary_rows),
-            "centrality.json": centrality.centrality_json(table),
-            "rank.json": ranking.rank_json(records),
-            "correlation.json": ranking.correlation_json(matrix),
-        }
-    else:
-        files = {
-            "summary.csv": metrics.summary_csv(summary_rows),
-            "centrality.csv": centrality.centrality_csv(table),
-            "rank.csv": ranking.rank_csv(records),
-            "correlation.csv": ranking.correlation_csv(matrix),
-        }
-    files["recommendation.json"] = ranking.recommendation_json(rec)
+    fmt = config.output_format
+    files = {
+        f"summary.{fmt}": render(metrics.SUMMARY_COLUMNS, summary_rows, fmt),
+        f"centrality.{fmt}": render(
+            centrality.CENTRALITY_COLUMNS, centrality.centrality_rows(table), fmt
+        ),
+        f"rank.{fmt}": render(ranking.RANK_COLUMNS, [astuple(r) for r in records], fmt),
+        f"correlation.{fmt}": _correlation_report(matrix, fmt),
+        "recommendation.json": ranking.recommendation_json(rec),
+    }
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():

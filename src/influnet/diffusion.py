@@ -11,7 +11,6 @@ only ever flips to active, never back.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -131,32 +130,45 @@ def threshold_sweep(
     ]
 
 
-TRACE_CSV_HEADER = "seed,theta,day,active_count,proportion"
+DAY_COLUMNS = (
+    ("seed", False),
+    ("theta", True),
+    ("day", False),
+    ("active_count", False),
+    ("proportion", True),
+)
+
+TRACE_COLUMNS = (
+    ("seed", False),
+    ("theta", True),
+    ("active_counts", False),
+    ("population", False),
+    ("saturation_day", False),
+    ("proportion_reached", True),
+    ("score", True),
+)
 
 
-def trace_csv(traces: Iterable[DiffusionTrace]) -> str:
+def day_rows(traces: Iterable[DiffusionTrace]) -> list[tuple]:
     """One row per simulated day, traces in the order given."""
-    out = [TRACE_CSV_HEADER]
-    for tr in traces:
-        for day, count in enumerate(tr.active_counts):
-            out.append(
-                f"{tr.seed},{tr.theta:.6f},{day},{count},"
-                f"{count / tr.population:.6f}"
-            )
-    return "\n".join(out) + "\n"
+    return [
+        (tr.seed, tr.theta, day, count, count / tr.population)
+        for tr in traces
+        for day, count in enumerate(tr.active_counts)
+    ]
 
 
-def trace_json(traces: Sequence[DiffusionTrace]) -> str:
-    payload = [
-        {
-            "seed": tr.seed,
-            "theta": round(tr.theta, 6),
-            "active_counts": list(tr.active_counts),
-            "population": tr.population,
-            "saturation_day": tr.saturation_day,
-            "proportion_reached": round(tr.proportion_reached, 6),
-            "score": round(spreading_capacity(tr), 6),
-        }
+def trace_rows(traces: Iterable[DiffusionTrace]) -> list[tuple]:
+    """One row per trace, with its whole active-count history."""
+    return [
+        (
+            tr.seed,
+            tr.theta,
+            list(tr.active_counts),
+            tr.population,
+            tr.saturation_day,
+            tr.proportion_reached,
+            spreading_capacity(tr),
+        )
         for tr in traces
     ]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -15,10 +15,8 @@ blocks of ``BLOCK_BITS``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .graph import DirectedGraph, weakly_connected_components
 
@@ -169,32 +167,20 @@ def small_world_sigma(actual: NetworkSummary, baseline: NetworkSummary) -> Small
     )
 
 
-SUMMARY_CSV_HEADER = "network,nodes,edges,avg_path_length,avg_clustering,diameter,components"
+SUMMARY_COLUMNS = (
+    ("network", False),
+    ("nodes", False),
+    ("edges", False),
+    ("avg_path_length", True),
+    ("avg_clustering", True),
+    ("diameter", False),
+    ("components", False),
+)
 
-
-def summary_csv(rows: Iterable[tuple[str, NetworkSummary]]) -> str:
-    """Render labeled summaries as CSV, reals at 6 decimal places."""
-    out = [SUMMARY_CSV_HEADER]
-    for label, s in rows:
-        out.append(
-            f"{label},{s.node_count},{s.edge_count},"
-            f"{s.average_path_length:.6f},{s.average_clustering:.6f},"
-            f"{s.diameter},{s.component_count}"
-        )
-    return "\n".join(out) + "\n"
-
-
-def summary_json(rows: Sequence[tuple[str, NetworkSummary]]) -> str:
-    payload = [
-        {
-            "network": label,
-            "nodes": s.node_count,
-            "edges": s.edge_count,
-            "avg_path_length": round(s.average_path_length, 6),
-            "avg_clustering": round(s.average_clustering, 6),
-            "diameter": s.diameter,
-            "components": s.component_count,
-        }
-        for label, s in rows
-    ]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+VERDICT_COLUMNS = (
+    ("baseline", False),
+    ("sigma", True),
+    ("clustering_ratio", True),
+    ("path_length_ratio", True),
+    ("is_small_world", False),
+)

@@ -9,7 +9,6 @@ structural measures track simulated reach.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -18,16 +17,18 @@ from .centrality import MEASURES, CentralityTable, top_k
 from .diffusion import DiffusionConfig, linear_threshold_run, spreading_score
 from .graph import DirectedGraph
 from .parallel import pmap
+from .table import dump_json
 
+# The fields of RankRecord in order, so astuple(record) is a row.
 RANK_COLUMNS = (
-    "node",
-    "in_degree",
-    "out_degree",
-    "eigenvector",
-    "betweenness",
-    "days_required",
-    "proportion_reached",
-    "score",
+    ("node", False),
+    ("in_degree", False),
+    ("out_degree", False),
+    ("eigenvector", True),
+    ("betweenness", True),
+    ("days_required", False),
+    ("proportion_reached", True),
+    ("score", True),
 )
 
 
@@ -152,9 +153,6 @@ def recommend(records: Sequence[RankRecord]) -> Recommendation:
     return Recommendation(node=best.node, score=best.score, rationale=rationale)
 
 
-UNDEFINED = "undefined"
-
-
 @dataclass(frozen=True)
 class CorrelationMatrix:
     """Pearson coefficients over rank columns; None marks 0/0 cases."""
@@ -188,14 +186,13 @@ def correlation_matrix(records: Sequence[RankRecord]) -> CorrelationMatrix:
     """
     if len(records) < 2:
         raise ValueError("correlation needs at least 2 records")
-    series = {
-        name: [float(getattr(r, name)) for r in records] for name in RANK_COLUMNS
-    }
+    labels = tuple(name for name, _ in RANK_COLUMNS)
+    series = {name: [float(getattr(r, name)) for r in records] for name in labels}
     constant = {name for name, xs in series.items() if min(xs) == max(xs)}
     rows: list[tuple[float | None, ...]] = []
-    for a in RANK_COLUMNS:
+    for a in labels:
         row: list[float | None] = []
-        for b in RANK_COLUMNS:
+        for b in labels:
             if a in constant or b in constant:
                 row.append(None)
             elif a == b:
@@ -203,64 +200,28 @@ def correlation_matrix(records: Sequence[RankRecord]) -> CorrelationMatrix:
             else:
                 row.append(_pearson(series[a], series[b]))
         rows.append(tuple(row))
-    return CorrelationMatrix(labels=RANK_COLUMNS, values=tuple(rows))
+    return CorrelationMatrix(labels=labels, values=tuple(rows))
 
 
-RANK_CSV_HEADER = ",".join(RANK_COLUMNS)
-
-
-def rank_csv(records: Sequence[RankRecord]) -> str:
-    out = [RANK_CSV_HEADER]
-    for r in records:
-        out.append(
-            f"{r.node},{r.in_degree},{r.out_degree},{r.eigenvector:.6f},"
-            f"{r.betweenness:.6f},{r.days_required},"
-            f"{r.proportion_reached:.6f},{r.score:.6f}"
-        )
-    return "\n".join(out) + "\n"
-
-
-def rank_json(records: Sequence[RankRecord]) -> str:
-    payload = [
-        {
-            "node": r.node,
-            "in_degree": r.in_degree,
-            "out_degree": r.out_degree,
-            "eigenvector": round(r.eigenvector, 6),
-            "betweenness": round(r.betweenness, 6),
-            "days_required": r.days_required,
-            "proportion_reached": round(r.proportion_reached, 6),
-            "score": round(r.score, 6),
-        }
-        for r in records
-    ]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def correlation_csv(matrix: CorrelationMatrix) -> str:
-    """Square table with the column labels down the side and across the top."""
-    out = ["," + ",".join(matrix.labels)]
-    for label, row in zip(matrix.labels, matrix.values):
-        cells = [UNDEFINED if v is None else f"{v:.6f}" for v in row]
-        out.append(label + "," + ",".join(cells))
-    return "\n".join(out) + "\n"
+def correlation_table(matrix: CorrelationMatrix) -> tuple[tuple, list[tuple]]:
+    """Column spec and rows of a square table, labels down the side and across the top."""
+    columns = (("", False), *((label, True) for label in matrix.labels))
+    return columns, [(label, *row) for label, row in zip(matrix.labels, matrix.values)]
 
 
 def correlation_json(matrix: CorrelationMatrix) -> str:
-    payload = {
+    return dump_json({
         "labels": list(matrix.labels),
         "values": [
             [None if v is None else round(v, 6) for v in row]
             for row in matrix.values
         ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    })
 
 
 def recommendation_json(rec: Recommendation) -> str:
-    payload = {
+    return dump_json({
         "node": rec.node,
         "score": round(rec.score, 6),
         "rationale": rec.rationale,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    })

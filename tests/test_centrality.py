@@ -12,13 +12,14 @@ from influnet import (
     ConvergenceError,
     DirectedGraph,
     betweenness_centrality,
-    centrality_csv,
     combine,
     degree_table,
     eigenvector_centrality,
     full_table,
+    render,
     top_k,
 )
+from influnet.centrality import CENTRALITY_COLUMNS, centrality_rows
 from helpers import oracle_betweenness, random_digraph, random_strongly_connected
 
 
@@ -239,7 +240,7 @@ def test_full_table_has_every_column():
 
 def test_centrality_csv_sorted_by_followers():
     g = DirectedGraph([(2, 1), (3, 1), (1, 2), (3, 2)])
-    lines = centrality_csv(full_table(g)).splitlines()
+    lines = render(CENTRALITY_COLUMNS, centrality_rows(full_table(g)), "csv").splitlines()
     assert lines[0] == "node,in_degree,out_degree,betweenness,eigenvector"
     assert [row.split(",")[0] for row in lines[1:]] == ["1", "2", "3"]
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -17,8 +18,8 @@ from influnet import (
     local_clustering,
     parse_edge_csv,
     small_world_sigma,
+    render,
     summarize,
-    summary_csv,
     to_edge_csv,
     watts_strogatz,
 )
@@ -225,8 +226,8 @@ def test_sigma_rejects_degenerate_baseline():
 
 
 def test_summary_csv_rendering():
-    rows = [("full", NetworkSummary(3, 2, 4 / 3, 0.0, 2, 1))]
-    text = summary_csv(rows)
+    rows = [("full", *astuple(NetworkSummary(3, 2, 4 / 3, 0.0, 2, 1)))]
+    text = render(metrics.SUMMARY_COLUMNS, rows, "csv")
     lines = text.splitlines()
     assert lines[0] == "network,nodes,edges,avg_path_length,avg_clustering,diameter,components"
     assert lines[1] == "full,3,2,1.333333,0.000000,2,1"

@@ -12,17 +12,18 @@ from influnet import (
     DiffusionConfig,
     DirectedGraph,
     RankRecord,
-    correlation_csv,
     correlation_matrix,
     full_table,
     rank_candidates,
-    rank_csv,
     recommend,
     recommendation_json,
+    render,
     select_candidates,
     spreading_score,
 )
-from influnet.ranking import RANK_COLUMNS
+from influnet.ranking import RANK_COLUMNS, correlation_table
+
+RANK_LABELS = tuple(name for name, _ in RANK_COLUMNS)
 
 
 def make_record(rng: random.Random, node: int) -> RankRecord:
@@ -117,7 +118,7 @@ def test_record_rejects_inconsistent_score():
 
 
 def test_rank_csv_column_order():
-    assert rank_csv([]).splitlines()[0] == (
+    assert render(RANK_COLUMNS, [], "csv").splitlines()[0] == (
         "node,in_degree,out_degree,eigenvector,betweenness,"
         "days_required,proportion_reached,score"
     )
@@ -127,7 +128,7 @@ def test_correlation_matrix_shape_and_diagonal():
     rng = random.Random(97)
     records = [make_record(rng, i) for i in range(25)]
     m = correlation_matrix(records)
-    assert m.labels == RANK_COLUMNS
+    assert m.labels == RANK_LABELS
     n = len(m.labels)
     for i in range(n):
         assert m.values[i][i] == 1.0
@@ -195,8 +196,8 @@ def test_correlation_csv_labels_and_undefined_cells():
         )
         for i in range(5)
     ]
-    lines = correlation_csv(correlation_matrix(records)).splitlines()
-    assert lines[0] == "," + ",".join(RANK_COLUMNS)
+    lines = render(*correlation_table(correlation_matrix(records)), "csv").splitlines()
+    assert lines[0] == "," + ",".join(RANK_LABELS)
     assert lines[1].startswith("node,")
     assert "undefined" in lines[2]  # in_degree row is constant
 
