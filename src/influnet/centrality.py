@@ -132,6 +132,13 @@ def eigenvector_centrality(
     connected graph whose cycle lengths share a factor (a bipartite core,
     say) the dominant eigenvalue of A + I is strictly dominant, so the
     iteration settles where plain iteration oscillates forever.
+
+    On a graph without a directed cycle A is nilpotent, so some step maps
+    the iterate to zero.  The last nonzero iterate is then returned: an
+    exact eigenvector for eigenvalue 0 (A x = 0).  From the uniform start
+    it scores each account by the number of longest follow chains (of the
+    graph's maximum length) that end at it, so on the chain 1->2->3->4 all
+    weight lands on 4, the account at the top of the chain.
     """
     if g.node_count == 0:
         raise ValueError("empty graph")

@@ -45,15 +45,7 @@ class PipelineConfig:
 
 def _read_graph(path: Path) -> DirectedGraph:
     with path.open("r", encoding="utf-8") as fh:
-        result = ingest_edge_csv(fh)
-    if result.self_loops_dropped or result.duplicates_dropped:
-        log.info(
-            "ingested %s: dropped %d self-loop(s), %d duplicate(s)",
-            path,
-            result.self_loops_dropped,
-            result.duplicates_dropped,
-        )
-    return result.graph
+        return ingest_edge_csv(fh).graph
 
 
 def _region(g: DirectedGraph, use_core: bool) -> DirectedGraph:
@@ -154,7 +146,12 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         label = f"{spec.model}_p{p:g}"
         base = metrics.summarize(baselines.generate(spec))
         rows.append((label, *astuple(base)))
-        verdict = metrics.small_world_sigma(actual, base)
+        try:
+            verdict = metrics.small_world_sigma(actual, base)
+        except ValueError as exc:
+            log.warning("sigma vs %s is undefined: %s", label, exc)
+            verdicts.append((label, None, None, None, None))
+            continue
         verdicts.append((label, *astuple(verdict)))
         log.info(
             "sigma vs %s: %.6f (%s)",

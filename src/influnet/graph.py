@@ -269,4 +269,11 @@ def largest_core(g: DirectedGraph) -> DirectedGraph:
     comps = weakly_connected_components(g)
     if len(comps) == 1:
         return g
+    kept = len(comps[0])
+    log.info(
+        "core: kept %d of %d nodes (%d outside the largest weak component)",
+        kept,
+        g.node_count,
+        g.node_count - kept,
+    )
     return induced_subgraph(g, comps[0])

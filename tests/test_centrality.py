@@ -190,6 +190,29 @@ def test_eigenvector_start_validation():
         eigenvector_centrality(g, start={1: 0.0, 2: 0.0})
 
 
+ACYCLIC_CORES = {
+    "chain": ([(1, 2), (2, 3), (3, 4)], {4: 1.0}),
+    # One length-1 chain ends at 0 per follower: 2 at node 0, 3 at node 9.
+    "fan_in": (
+        [(1, 0), (2, 0), (2, 9), (3, 9), (4, 9)],
+        {0: 2 / math.sqrt(13), 9: 3 / math.sqrt(13)},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACYCLIC_CORES))
+def test_eigenvector_on_acyclic_core_is_a_null_vector(name, caplog):
+    edges, expected = ACYCLIC_CORES[name]
+    g = DirectedGraph(edges)
+    with caplog.at_level("WARNING"):
+        x = full_table(g).eigenvector
+    assert not caplog.records  # settled without the shifted retry
+    assert math.isclose(math.fsum(c * c for c in x.values()), 1.0, rel_tol=1e-12)
+    for v in g.nodes:  # A x = 0 exactly
+        assert math.fsum(x[u] for u in g.in_neighbors(v)) == 0.0
+    assert x == pytest.approx({v: expected.get(v, 0.0) for v in g.nodes}, abs=1e-12)
+
+
 def test_measures_commute_with_relabeling():
     rng = random.Random(61)
     g = random_strongly_connected(rng, 10, 12)

@@ -32,6 +32,7 @@ GOLDEN_COMMANDS = {
     "sweep": ["sweep"],
     "rank": ["rank"],
     "correlate": ["correlate"],
+    "baseline": ["baseline"],
     "baseline_ws": ["baseline", "--model", "watts_strogatz", "--ws-k", "4", "--p", "0.1"],
     "pipeline": ["pipeline"],
 }
@@ -147,6 +148,19 @@ def test_parse_error_exits_2(tmp_path, capsys):
     rc = main(["stats", "--input", str(bad)])
     assert rc == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows",
+    ["1,2\n2,3\n3,4\n", "1,0\n2,0\n2,9\n3,9\n4,9\n"],  # chain, fan-in
+)
+def test_centrality_on_acyclic_core_exits_0(tmp_path, rows, capsys):
+    path = tmp_path / "dag.csv"
+    path.write_text("i,j\n" + rows, encoding="utf-8")
+    assert main(["centrality", "--input", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert read_csv(captured.out)[0][0] == "node"
 
 
 def _write_unsettling(tmp_path):
@@ -276,6 +290,27 @@ def test_baseline_gnp(capsys):
     assert [r[0] for r in rows] == ["network", "actual", "gnp_p0.3"]
     assert rows[2][1] == "12"
     assert "sigma vs gnp_p0.3" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_baseline_with_zero_clustering_random_graph_exits_0(fmt, capsys):
+    # Both default G(12, p) baselines of the fixture have no triangle, so
+    # sigma is undefined; the summaries are still reported.
+    assert main(["baseline", "--input", str(FIXTURE), "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert err.count("WARNING sigma vs gnp_") == 2 and "undefined" in err
+    if fmt == "json":
+        verdicts = json.loads(out)["verdicts"]
+        assert [v["sigma"] for v in verdicts] == [None, None]
+    else:
+        assert [r[0] for r in read_csv(out)[1:]] == ["actual", "gnp_p0.05", "gnp_p0.1"]
+
+
+def test_core_restriction_is_reported_on_stderr(capsys):
+    assert main(["stats", "--input", str(FIXTURE)]) == 0
+    assert capsys.readouterr().err == (
+        "INFO core: kept 8 of 12 nodes (4 outside the largest weak component)\n"
+    )
 
 
 def test_baseline_json_verdicts(capsys):

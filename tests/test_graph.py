@@ -16,7 +16,7 @@ from influnet import (
     to_edge_csv,
     weakly_connected_components,
 )
-from helpers import random_digraph
+from helpers import load_fixture, random_digraph
 
 
 def test_parse_small_network():
@@ -169,6 +169,16 @@ def test_largest_core_of_connected_graph_is_identity():
     # One isolated node is a fringe: the core is rebuilt without it.
     fringed = DirectedGraph(g.edges(), nodes=[7])
     assert largest_core(fringed) == g
+
+
+def test_largest_core_logs_the_nodes_it_drops(caplog):
+    g = load_fixture()
+    with caplog.at_level("INFO", logger="influnet.graph"):
+        core = largest_core(g)
+        assert largest_core(core) is core  # a connected graph drops nothing
+    assert [r.getMessage() for r in caplog.records] == [
+        "core: kept 8 of 12 nodes (4 outside the largest weak component)",
+    ]
 
 
 def test_largest_core_rejects_empty():

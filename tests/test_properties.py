@@ -1,0 +1,102 @@
+"""Property tests: ingest round trip, relabelling, and fringe components."""
+
+from __future__ import annotations
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from influnet import (  # noqa: E402
+    ConvergenceError,
+    DirectedGraph,
+    full_table,
+    largest_core,
+    parse_edge_csv,
+    summarize,
+    to_edge_csv,
+)
+
+PROPERTY = settings(max_examples=50, derandomize=True, deadline=None, database=None)
+
+ids = st.integers(0, 10**6)
+
+
+@st.composite
+def digraphs(draw, max_nodes: int = 10) -> DirectedGraph:
+    """Nodes 0..n-1 (some possibly isolated) and at least one arc."""
+    n = draw(st.integers(2, max_nodes))
+    node = st.integers(0, n - 1)
+    arcs = draw(st.sets(st.tuples(node, node).filter(lambda a: a[0] != a[1]), min_size=1))
+    return DirectedGraph(arcs, nodes=range(n))
+
+
+@st.composite
+def connected_digraphs(draw, min_nodes: int, max_nodes: int, first_id: int = 0):
+    """A weakly connected graph on first_id..first_id+n-1: a random tree plus extra arcs."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    arcs = set()
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        arcs.add((u, v) if draw(st.booleans()) else (v, u))
+    node = st.integers(0, n - 1)
+    arcs.update(a for a in draw(st.lists(st.tuples(node, node), max_size=2 * n)) if a[0] != a[1])
+    return DirectedGraph(
+        ((first_id + i, first_id + j) for i, j in arcs),
+        nodes=range(first_id, first_id + n),
+    )
+
+
+def relabel(g: DirectedGraph, mapping: dict[int, int]) -> DirectedGraph:
+    return DirectedGraph(
+        ((mapping[i], mapping[j]) for i, j in g.arc_set()),
+        nodes=(mapping[v] for v in g.nodes),
+    )
+
+
+def table_or_failure(g: DirectedGraph):
+    """full_table, or ConvergenceError when no eigenvector solve settles."""
+    try:
+        return full_table(g)
+    except ConvergenceError:
+        return ConvergenceError
+
+
+@PROPERTY
+@given(st.sets(st.tuples(ids, ids).filter(lambda a: a[0] != a[1]), max_size=30))
+def test_edge_csv_round_trips(arcs):
+    g = DirectedGraph(arcs)  # every node is an arc end, so none is isolated
+    assert parse_edge_csv(to_edge_csv(g)) == g
+
+
+@PROPERTY
+@given(st.data())
+def test_relabelling_commutes_with_summary_and_centrality(data):
+    g = data.draw(digraphs())
+    new_ids = data.draw(st.lists(ids, min_size=g.node_count, max_size=g.node_count, unique=True))
+    mapping = dict(zip(sorted(g.nodes), new_ids))
+    h = relabel(g, mapping)
+    assert summarize(h) == summarize(g)
+    before, after = table_or_failure(g), table_or_failure(h)
+    if before is ConvergenceError:
+        assert after is ConvergenceError
+        return
+    for name in ("in_degree", "out_degree", "betweenness", "eigenvector"):
+        col, moved = before.column(name), after.column(name)
+        for v in g.nodes:
+            assert moved[mapping[v]] == pytest.approx(col[v], abs=1e-12), (name, v)
+
+
+@PROPERTY
+@given(st.data())
+def test_smaller_disjoint_component_leaves_core_results_unchanged(data):
+    core = data.draw(connected_digraphs(2, 10))
+    gap = data.draw(st.integers(0, 100))
+    fringe = data.draw(connected_digraphs(1, core.node_count - 1, max(core.nodes) + 1 + gap))
+    g = DirectedGraph(
+        core.arc_set() | fringe.arc_set(), nodes=core.nodes | fringe.nodes
+    )
+    found = largest_core(g)
+    assert found == core
+    assert summarize(found) == summarize(core)
+    assert table_or_failure(found) == table_or_failure(core)
