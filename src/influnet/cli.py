@@ -2,12 +2,16 @@
 
 Every subcommand reads the same two-column follow CSV and writes one
 report to stdout or a file; ``pipeline`` chains the whole analysis and
-writes a report directory.  Exit codes: 0 success, 1 usage error
-(including a flag value out of range, caught before any work runs), 2
-unreadable or invalid data, 3 iteration failed to converge.  Reruns with
-the same inputs and seed are byte-identical; ``--threads`` (on the
-subcommands that run cascades: ``rank``, ``correlate`` and ``pipeline``)
-changes the schedule, never the bytes.
+writes a report directory.  Table reports are rendered by
+:func:`influnet.table.render` from the column spec of the module that
+computes them, so ``--format`` picks CSV or JSON for all of them alike.
+
+Exit codes: 0 success, 1 usage error (including a flag value out of
+range, caught before any work runs), 2 unreadable or invalid data, 3
+iteration failed to converge.  Reruns with the same inputs and seed are
+byte-identical; ``--threads`` (on the subcommands that run cascades:
+``rank``, ``correlate`` and ``pipeline``) changes the schedule, never the
+bytes.
 """
 
 from __future__ import annotations

@@ -192,7 +192,7 @@ def test_eigenvector_start_validation():
 
 ACYCLIC_CORES = {
     "chain": ([(1, 2), (2, 3), (3, 4)], {4: 1.0}),
-    # One length-1 chain ends at 0 per follower: 2 at node 0, 3 at node 9.
+    # The longest chains have length 1: two end at node 0, three at node 9.
     "fan_in": (
         [(1, 0), (2, 0), (2, 9), (3, 9), (4, 9)],
         {0: 2 / math.sqrt(13), 9: 3 / math.sqrt(13)},
