@@ -53,8 +53,8 @@ def combine(*tables: CentralityTable) -> CentralityTable:
 def degree_table(g: DirectedGraph) -> CentralityTable:
     """In-degree (follower count) and out-degree (following count) per node."""
     return CentralityTable(
-        in_degree={n: g.in_degree(n) for n in g.nodes},
-        out_degree={n: g.out_degree(n) for n in g.nodes},
+        in_degree={n: len(f) for n, f in zip(g.ids, g.inc)},
+        out_degree={n: len(f) for n, f in zip(g.ids, g.out)},
     )
 
 
@@ -68,13 +68,12 @@ def betweenness_centrality(g: DirectedGraph) -> CentralityTable:
     are plain left-to-right float additions, so the result does not depend
     on the interpreter's ``sum`` implementation.
     """
-    ids = sorted(g.nodes)
+    ids = g.ids
     n = len(ids)
     if n < 3:
         log.warning("betweenness is identically 0 on graphs with fewer than 3 nodes")
         return CentralityTable(betweenness={v: 0.0 for v in ids})
-    pos = {v: k for k, v in enumerate(ids)}
-    adj = [[pos[w] for w in g.out_neighbors(v)] for v in ids]
+    adj = g.out
     acc = [0.0] * n
     # coeff[x] = (1 + delta[x]) / sigma[x]; an entry is read only for a node
     # one level deeper than the reader in the current source's BFS, and such
@@ -142,17 +141,13 @@ def eigenvector_centrality(
     """
     if g.node_count == 0:
         raise ValueError("empty graph")
-    ids = sorted(g.nodes)
+    ids = g.ids
     n = len(ids)
-    pos = {v: k for k, v in enumerate(ids)}
-    followers = [[pos[u] for u in g.in_neighbors(v)] for v in ids]
-    if shifted:
-        for k, f in enumerate(followers):
-            f.append(k)
+    followers = tuple(f + (k,) for k, f in enumerate(g.inc)) if shifted else g.inc
     if start is None:
         x = [1.0 / math.sqrt(n)] * n
     else:
-        if set(start) != set(ids):
+        if start.keys() != g.nodes:
             raise ValueError("start vector must cover exactly the graph's nodes")
         norm = math.sqrt(math.fsum(start[v] * start[v] for v in ids))
         if norm == 0.0:

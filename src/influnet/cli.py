@@ -9,18 +9,18 @@ computes them, so ``--format`` picks CSV or JSON for all of them alike.
 Exit codes: 0 success, 1 usage error (including a flag value out of
 range, caught before any work runs), 2 unreadable or invalid data, 3
 iteration failed to converge.  Reruns with the same inputs and seed are
-byte-identical; ``--threads`` (on the subcommands that run cascades:
-``rank``, ``correlate`` and ``pipeline``) changes the schedule, never the
-bytes.
+byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from dataclasses import astuple, dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 from . import baselines, centrality, diffusion, export, metrics, ranking
 from .errors import ConvergenceError, EdgeListParseError
@@ -42,7 +42,6 @@ class PipelineConfig:
     use_core: bool = True
     output_format: str = "csv"
     out_dir: Path = Path("report")
-    threads: int = 1
     tol: float = 1e-10
     max_iter: int = 1000
 
@@ -118,7 +117,7 @@ def _ranked_records(args: argparse.Namespace) -> list[ranking.RankRecord]:
     table = centrality.full_table(g, tol=args.tol, max_iter=args.max_iter)
     candidates = ranking.select_candidates(table, args.k)
     config = diffusion.DiffusionConfig(theta=args.theta, max_days=args.days)
-    return ranking.rank_candidates(g, candidates, config, table, threads=args.threads)
+    return ranking.rank_candidates(g, candidates, config, table)
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
@@ -195,9 +194,7 @@ def run_pipeline(config: PipelineConfig) -> ranking.Recommendation:
     table = centrality.full_table(region, tol=config.tol, max_iter=config.max_iter)
     candidates = ranking.select_candidates(table, config.top_k)
     diff_config = diffusion.DiffusionConfig(theta=config.theta, max_days=config.max_days)
-    records = ranking.rank_candidates(
-        region, candidates, diff_config, table, threads=config.threads
-    )
+    records = ranking.rank_candidates(region, candidates, diff_config, table)
     matrix = ranking.correlation_matrix(records)
     rec = ranking.recommend(records)
 
@@ -230,7 +227,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         use_core=not args.full_network,
         output_format=args.format,
         out_dir=Path(args.out),
-        threads=args.threads,
         tol=args.tol,
         max_iter=args.max_iter,
     )
@@ -258,29 +254,31 @@ def _add_common(p: argparse.ArgumentParser, region_flag: bool = True) -> None:
         )
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _checked(cast: type, noun: str, ok: Callable[[Any], bool], requirement: str):
+    """An argparse type: ``cast`` the text, then require ``ok`` of the value."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    return parse
 
 
-def _probability(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
-    return value
+_positive_int = _checked(int, "an integer", lambda v: v >= 1, ">= 1")
+_even_degree = _checked(int, "an integer", lambda v: v >= 2 and v % 2 == 0, "even and >= 2")
+_probability = _checked(float, "a number", lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+# NaN fails every comparison, so it is rejected too.
+_positive_finite = _checked(float, "a number", lambda v: 0.0 < v < math.inf, "positive and finite")
 
 
 def _add_solver(p: argparse.ArgumentParser) -> None:
     """Flags of the subcommands that build the centrality table."""
-    p.add_argument("--tol", type=float, default=1e-10, help="eigenvector tolerance")
+    p.add_argument("--tol", type=_positive_finite, default=1e-10, help="eigenvector tolerance")
     p.add_argument(
         "--max-iter", type=_positive_int, default=1000, help="eigenvector iteration cap"
     )
@@ -292,9 +290,6 @@ def _add_ranking(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=_positive_int, default=10, help="top-k per centrality measure")
     p.add_argument("--theta", type=_probability, default=0.1, help="adoption threshold")
     p.add_argument("--days", type=_positive_int, default=15, help="day cap per cascade")
-    p.add_argument(
-        "--threads", type=_positive_int, default=1, help="worker threads for cascades"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,7 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help="edge (or rewire) probability; repeatable (default 0.05 and 0.10)",
     )
-    p.add_argument("--ws-k", type=int, default=10, help="lattice degree for watts_strogatz")
+    p.add_argument(
+        "--ws-k", type=_even_degree, default=10, help="lattice degree for watts_strogatz"
+    )
     p.add_argument("--seed", type=int, default=0, help="base RNG seed; baseline i adds i")
     p.set_defaults(func=_cmd_baseline)
 
@@ -363,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full-network", action="store_true")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default="report", help="report directory")
-    p.add_argument("--threads", type=_positive_int, default=1)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_positive_finite, default=1e-10)
     p.add_argument("--max-iter", type=_positive_int, default=1000)
     p.set_defaults(func=_cmd_pipeline)
 
@@ -372,25 +368,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=logging.INFO,
-        stream=sys.stderr,
-        format="%(levelname)s %(message)s",
-        force=True,
-    )
-    parser = build_parser()
+    # The handler lives on the package logger only for this call, so the
+    # caller's handlers are left alone and repeated calls print each line once.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+    pkg = logging.getLogger("influnet")
+    level = pkg.level
+    pkg.addHandler(handler)
+    pkg.setLevel(logging.INFO)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse: --help, or a usage error
+        return int(exc.code or 0)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (EdgeListParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        pkg.removeHandler(handler)
+        pkg.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -72,19 +72,20 @@ def linear_threshold_run(
     """
     if seed not in g:
         raise ValueError(f"seed {seed} is not a node of the graph")
-    active = {seed}
+    start = g.pos[seed]
+    active = {start}
     exposed: dict[int, int] = {}
     counts = [1]
-    newly: Iterable[int] = (seed,)
+    newly: Iterable[int] = (start,)
     for _ in range(config.max_days):
         touched: set[int] = set()
         for u in newly:
-            for v in g.in_neighbors(u):
+            for v in g.inc[u]:
                 if v not in active:
                     exposed[v] = exposed.get(v, 0) + 1
                     touched.add(v)
         newly = [
-            v for v in touched if exposed[v] / g.out_degree(v) >= config.theta
+            v for v in touched if exposed[v] / len(g.out[v]) >= config.theta
         ]
         active.update(newly)
         counts.append(len(active))

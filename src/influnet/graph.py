@@ -4,15 +4,22 @@ Nodes are non-negative integers.  An edge (i, j) records that account i
 follows account j.  The container is immutable once built: mutators return
 new graphs.  Undirected graphs reuse the same storage with a symmetric arc
 set and report each unordered pair as a single edge.
+
+The constructor indexes the graph once, and every algorithm reads that
+index: ``ids`` holds the node ids sorted ascending, ``pos`` maps each id to
+its position in ``ids``, and ``out[p]`` and ``inc[p]`` are sorted tuples of
+the positions node p follows and is followed by.  Positions follow id
+order, so equal graphs have equal indexes.  The id-level methods
+(``nodes``, ``edges``, ``out_neighbors`` and so on) are thin views over the
+index.
 """
 
 from __future__ import annotations
 
 import io
 import logging
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, KeysView, TextIO
 
 from .errors import EdgeListParseError
 
@@ -22,9 +29,9 @@ EDGE_CSV_HEADER = "i,j"
 
 
 class DirectedGraph:
-    """Immutable adjacency-indexed graph."""
+    """Immutable graph stored as one position index (see the module docstring)."""
 
-    __slots__ = ("_out", "_in", "_nodes", "_arcs", "directed")
+    __slots__ = ("ids", "pos", "out", "inc", "directed", "_arc_count")
 
     def __init__(
         self,
@@ -47,78 +54,93 @@ class DirectedGraph:
                 arcs.add((j, i))
             node_set.add(i)
             node_set.add(j)
-        out: dict[int, list[int]] = {n: [] for n in node_set}
-        inc: dict[int, list[int]] = {n: [] for n in node_set}
-        for i, j in sorted(arcs):
-            out[i].append(j)
-            inc[j].append(i)
-        self._out = {n: tuple(v) for n, v in out.items()}
-        self._in = {n: tuple(sorted(v)) for n, v in inc.items()}
-        self._nodes = frozenset(node_set)
-        self._arcs = frozenset(arcs)
+        ids = sorted(node_set)
+        pos = {v: k for k, v in enumerate(ids)}
+        out: list[list[int]] = [[] for _ in ids]
+        for i, j in arcs:
+            out[pos[i]].append(pos[j])
+        for targets in out:
+            targets.sort()
+        self._set_index(tuple(ids), tuple(map(tuple, out)), directed)
+
+    def _set_index(
+        self, ids: tuple[int, ...], out: tuple[tuple[int, ...], ...], directed: bool
+    ) -> None:
+        """Adopt an index that is already valid: ids sorted, each out[p] sorted."""
+        # Sources are visited in position order, so each inc[q] comes out sorted.
+        inc: list[list[int]] = [[] for _ in ids]
+        for p, targets in enumerate(out):
+            for q in targets:
+                inc[q].append(p)
+        self.ids = ids
+        self.pos = {v: k for k, v in enumerate(ids)}
+        self.out = out
+        self.inc = tuple(map(tuple, inc))
         self.directed = directed
+        self._arc_count = sum(map(len, out))
 
     @property
-    def nodes(self) -> frozenset[int]:
-        return self._nodes
+    def nodes(self) -> KeysView[int]:
+        """The node ids, as a set-like view in ascending order."""
+        return self.pos.keys()
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
+        return len(self.ids)
 
     @property
     def edge_count(self) -> int:
         if self.directed:
-            return len(self._arcs)
-        return len(self._arcs) // 2
+            return self._arc_count
+        return self._arc_count // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges in sorted order; one row per unordered pair when undirected."""
-        for i, j in sorted(self._arcs):
-            if not self.directed and i > j:
-                continue
-            yield (i, j)
+        ids = self.ids
+        for p, targets in enumerate(self.out):
+            for q in targets:
+                if self.directed or p < q:
+                    yield (ids[p], ids[q])
 
     def arc_set(self) -> frozenset[tuple[int, int]]:
-        return self._arcs
-
-    def has_node(self, n: int) -> bool:
-        return n in self._nodes
+        """Every arc as an (i, j) id pair; both directions of an undirected edge."""
+        ids = self.ids
+        return frozenset(
+            (ids[p], ids[q]) for p, targets in enumerate(self.out) for q in targets
+        )
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self._arcs
+        p = self.pos.get(i)
+        q = self.pos.get(j)
+        return p is not None and q is not None and q in self.out[p]
 
     def out_neighbors(self, n: int) -> tuple[int, ...]:
         """Accounts that n follows."""
-        return self._out[n]
+        return tuple(map(self.ids.__getitem__, self.out[self.pos[n]]))
 
     def in_neighbors(self, n: int) -> tuple[int, ...]:
         """Accounts that follow n."""
-        return self._in[n]
+        return tuple(map(self.ids.__getitem__, self.inc[self.pos[n]]))
 
     def out_degree(self, n: int) -> int:
-        return len(self._out[n])
+        return len(self.out[self.pos[n]])
 
     def in_degree(self, n: int) -> int:
-        return len(self._in[n])
+        return len(self.inc[self.pos[n]])
 
     def __contains__(self, n: int) -> bool:
-        return n in self._nodes
+        return n in self.pos
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self.ids)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirectedGraph):
             return NotImplemented
-        return (
-            self.directed == other.directed
-            and self._nodes == other._nodes
-            and self._arcs == other._arcs
-        )
+        return (self.directed, self.ids, self.out) == (other.directed, other.ids, other.out)
 
     def __hash__(self) -> int:
-        return hash((self.directed, self._nodes, self._arcs))
+        return hash((self.directed, self.ids, self.out))
 
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
@@ -225,37 +247,49 @@ def to_edge_csv(g: DirectedGraph) -> str:
     return "\n".join(out) + "\n"
 
 
+def _components(g: DirectedGraph) -> list[list[int]]:
+    """Weak components as sorted position lists, largest first, ties by smallest member."""
+    seen = [False] * g.node_count
+    comps: list[list[int]] = []
+    for s in range(g.node_count):
+        if not seen[s]:
+            seen[s] = True
+            comp = [s]
+            for v in comp:  # comp grows while it is walked: a FIFO queue
+                for w in g.out[v] + g.inc[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+            comps.append(sorted(comp))
+    comps.sort(key=lambda c: (-len(c), c[0]))
+    return comps
+
+
 def weakly_connected_components(g: DirectedGraph) -> list[frozenset[int]]:
     """Components of the graph with edge direction ignored.
 
     Ordered largest first; ties broken by smallest member id.
     """
-    unvisited = set(g.nodes)
-    comps: list[frozenset[int]] = []
-    while unvisited:
-        start = unvisited.pop()
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.out_neighbors(v) + g.in_neighbors(v):
-                if w in unvisited:
-                    unvisited.remove(w)
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(frozenset(comp))
-    comps.sort(key=lambda c: (-len(c), min(c)))
-    return comps
+    ids = g.ids
+    return [frozenset(ids[p] for p in comp) for comp in _components(g)]
+
+
+def _restrict(g: DirectedGraph, kept: list[int]) -> DirectedGraph:
+    """The subgraph induced on the sorted positions ``kept``, re-indexed in place of a rebuild."""
+    remap = {p: k for k, p in enumerate(kept)}
+    out = tuple(tuple(remap[q] for q in g.out[p] if q in remap) for p in kept)
+    core = DirectedGraph.__new__(DirectedGraph)
+    core._set_index(tuple(g.ids[p] for p in kept), out, g.directed)
+    return core
 
 
 def induced_subgraph(g: DirectedGraph, keep: Iterable[int]) -> DirectedGraph:
     """Restrict the graph to ``keep``, retaining edges with both ends inside."""
-    keep_set = frozenset(keep)
-    unknown = keep_set - g.nodes
+    keep_set = set(keep)
+    unknown = sorted(v for v in keep_set if v not in g.pos)
     if unknown:
-        raise ValueError(f"unknown node id(s): {sorted(unknown)[:5]}")
-    arcs = [(i, j) for i, j in g.arc_set() if i in keep_set and j in keep_set]
-    return DirectedGraph(arcs, nodes=keep_set, directed=g.directed)
+        raise ValueError(f"unknown node id(s): {unknown[:5]}")
+    return _restrict(g, sorted(g.pos[v] for v in keep_set))
 
 
 def largest_core(g: DirectedGraph) -> DirectedGraph:
@@ -266,7 +300,7 @@ def largest_core(g: DirectedGraph) -> DirectedGraph:
     """
     if g.node_count == 0:
         raise ValueError("empty graph has no core")
-    comps = weakly_connected_components(g)
+    comps = _components(g)
     if len(comps) == 1:
         return g
     kept = len(comps[0])
@@ -276,4 +310,4 @@ def largest_core(g: DirectedGraph) -> DirectedGraph:
         g.node_count,
         g.node_count - kept,
     )
-    return induced_subgraph(g, comps[0])
+    return _restrict(g, comps[0])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .graph import DirectedGraph, weakly_connected_components
 
@@ -29,9 +30,9 @@ BLOCK_BITS = 4096
 class NetworkSummary:
     node_count: int
     edge_count: int
-    average_path_length: float
+    average_path_length: float | None  # None: no pair is reachable
     average_clustering: float
-    diameter: int
+    diameter: int | None
     component_count: int
 
 
@@ -43,15 +44,7 @@ class SmallWorldVerdict:
     is_small_world: bool
 
 
-def _index_adjacency(g: DirectedGraph) -> tuple[list[int], list[list[int]]]:
-    """Dense out-adjacency over node ids sorted ascending."""
-    ids = sorted(g.nodes)
-    pos = {n: k for k, n in enumerate(ids)}
-    adj = [[pos[w] for w in g.out_neighbors(n)] for n in ids]
-    return ids, adj
-
-
-def _block_sweep(adj: list[list[int]], lo: int, hi: int) -> tuple[int, int, int]:
+def _block_sweep(adj: Sequence[Sequence[int]], lo: int, hi: int) -> tuple[int, int, int]:
     """Distance total, reached-pair count and deepest level for targets lo..hi-1."""
     reach = [0] * len(adj)
     for t in range(lo, hi):
@@ -80,7 +73,7 @@ def _distance_stats(g: DirectedGraph) -> tuple[float, int]:
     """Average finite pairwise distance and diameter, in one sweep."""
     if g.node_count < 2:
         raise ValueError("path statistics need at least 2 nodes")
-    _, adj = _index_adjacency(g)
+    adj = g.out
     total = pairs = diam = 0
     for lo in range(0, len(adj), BLOCK_BITS):
         t, p, d = _block_sweep(adj, lo, min(lo + BLOCK_BITS, len(adj)))
@@ -110,16 +103,10 @@ def local_clustering(g: DirectedGraph) -> dict[int, float]:
     """
     if g.node_count == 0:
         raise ValueError("empty graph")
-    ids = sorted(g.nodes)
-    pos = {n: k for k, n in enumerate(ids)}
-    hoods = []
-    for n in ids:
-        hood = {pos[u] for u in g.out_neighbors(n)}
-        hood.update(pos[u] for u in g.in_neighbors(n))
-        hoods.append(tuple(hood))
+    hoods = [tuple(set(out).union(inc)) for out, inc in zip(g.out, g.inc)]
     masks = [sum(1 << u for u in hood) for hood in hoods]
     coeffs: dict[int, float] = {}
-    for n, hood, mask in zip(ids, hoods, masks):
+    for n, hood, mask in zip(g.ids, hoods, masks):
         k = len(hood)
         if k < 2:
             coeffs[n] = 0.0
@@ -136,8 +123,15 @@ def average_clustering(g: DirectedGraph) -> float:
 
 
 def summarize(g: DirectedGraph) -> NetworkSummary:
-    """One-row structural profile of a graph."""
-    apl, diam = _distance_stats(g)
+    """One-row structural profile of a graph.
+
+    An edgeless graph of two or more nodes has no reachable pair, so its
+    path length and diameter are None (undefined).
+    """
+    if g.node_count >= 2 and g.edge_count == 0:
+        apl, diam = None, None
+    else:
+        apl, diam = _distance_stats(g)
     return NetworkSummary(
         node_count=g.node_count,
         edge_count=g.edge_count,
@@ -154,6 +148,8 @@ def small_world_sigma(actual: NetworkSummary, baseline: NetworkSummary) -> Small
     sigma = (C / C_rand) / (L / L_rand); a value above 1 marks the actual
     network as small-world (clustering excess outweighs path-length excess).
     """
+    if actual.average_path_length is None or baseline.average_path_length is None:
+        raise ValueError("path length is undefined: no pair is reachable")
     if baseline.average_clustering <= 0 or baseline.average_path_length <= 0:
         raise ValueError("degenerate baseline: clustering and path length must be positive")
     c_ratio = actual.average_clustering / baseline.average_clustering

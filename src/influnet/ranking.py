@@ -16,7 +16,6 @@ from typing import Sequence
 from .centrality import MEASURES, CentralityTable, top_k
 from .diffusion import DiffusionConfig, linear_threshold_run, spreading_score
 from .graph import DirectedGraph
-from .parallel import pmap
 from .table import dump_json
 
 # The fields of RankRecord in order, so astuple(record) is a row.
@@ -99,7 +98,6 @@ def rank_candidates(
     candidates: Sequence[int] | set[int],
     config: DiffusionConfig,
     table: CentralityTable,
-    threads: int = 1,
 ) -> list[RankRecord]:
     """Seed one cascade per candidate and order the results.
 
@@ -117,11 +115,10 @@ def rank_candidates(
     outd = table.column("out_degree")
     eig = table.column("eigenvector")
     btw = table.column("betweenness")
-    traces = pmap(
-        lambda v: linear_threshold_run(g, v, config), pool, threads
-    )
-    records = [
-        RankRecord.build(
+    records = []
+    for v in pool:
+        tr = linear_threshold_run(g, v, config)
+        records.append(RankRecord.build(
             node=v,
             in_degree=ind[v],
             out_degree=outd[v],
@@ -129,9 +126,7 @@ def rank_candidates(
             betweenness=btw[v],
             days_required=tr.saturation_day,
             proportion_reached=tr.proportion_reached,
-        )
-        for v, tr in zip(pool, traces)
-    ]
+        ))
     records.sort(key=_rank_key)
     return records
 

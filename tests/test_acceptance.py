@@ -240,18 +240,8 @@ def test_c7_metric_oracles():
     )
 
 
-def _run_pipeline(out_dir, threads: int) -> dict[str, bytes]:
-    rc = main(
-        [
-            "pipeline",
-            "--input",
-            str(FIXTURE),
-            "--out",
-            str(out_dir),
-            "--threads",
-            str(threads),
-        ]
-    )
+def _run_pipeline(out_dir, source=FIXTURE) -> dict[str, bytes]:
+    rc = main(["pipeline", "--input", str(source), "--out", str(out_dir)])
     assert rc == 0
     return {
         name: (out_dir / name).read_bytes() for name in REPORT_FILES
@@ -259,10 +249,13 @@ def _run_pipeline(out_dir, threads: int) -> dict[str, bytes]:
 
 
 def test_c8_pipeline_determinism_and_golden(tmp_path):
-    first = _run_pipeline(tmp_path / "a", threads=1)
-    second = _run_pipeline(tmp_path / "b", threads=1)
-    threaded = _run_pipeline(tmp_path / "c", threads=3)
-    stable = first == second == threaded
+    header, *rows = FIXTURE.read_text(encoding="utf-8").splitlines()
+    reversed_rows = tmp_path / "reversed.csv"
+    reversed_rows.write_text("\n".join([header, *rows[::-1]]) + "\n", encoding="utf-8")
+    first = _run_pipeline(tmp_path / "a")
+    second = _run_pipeline(tmp_path / "b")
+    reordered = _run_pipeline(tmp_path / "c", reversed_rows)
+    stable = first == second == reordered
 
     golden = {
         name: (GOLDEN_DIR / name).read_bytes() for name in REPORT_FILES
@@ -276,8 +269,8 @@ def test_c8_pipeline_determinism_and_golden(tmp_path):
     assert record_verdict(
         "C8",
         ok,
-        "pipeline on the 12-node fixture: byte-stable across runs and thread "
-        f"counts, golden match {'yes' if matches_golden else 'NO'}, "
+        "pipeline on the 12-node fixture: byte-stable across runs and row "
+        f"orders, golden match {'yes' if matches_golden else 'NO'}, "
         f"recommends node {rec['node']}",
     )
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 
 import pytest
 
@@ -89,7 +90,7 @@ def test_help_exits_0(capsys):
     [
         (["rank", "--theta", "2"], "--theta"),
         (["rank", "--k", "0"], "--k"),
-        (["rank", "--threads", "0"], "--threads"),
+        (["rank", "--tol", "0"], "--tol"),
         (["rank", "--days", "0"], "--days"),
         (["rank", "--k", "two"], "--k"),
         (["correlate", "--theta", "nan"], "--theta"),
@@ -98,8 +99,14 @@ def test_help_exits_0(capsys):
         (["sweep", "--days", "0"], "--days"),
         (["baseline", "--p", "1.5"], "--p"),
         (["pipeline", "--days", "0"], "--days"),
-        (["pipeline", "--threads", "0"], "--threads"),
+        (["pipeline", "--tol", "inf"], "--tol"),
         (["pipeline", "--max-iter", "-3"], "--max-iter"),
+        (["centrality", "--tol", "nan"], "--tol"),
+        (["centrality", "--tol", "-1"], "--tol"),
+        (["baseline", "--model", "watts_strogatz", "--ws-k", "3"], "--ws-k"),
+        (["baseline", "--ws-k", "0"], "--ws-k"),
+        (["baseline", "--ws-k", "-2"], "--ws-k"),
+        (["baseline", "--ws-k", "four"], "--ws-k"),
     ],
 )
 def test_bad_flag_value_exits_1_before_reading_input(argv, flag, capsys):
@@ -112,10 +119,16 @@ def test_bad_flag_value_exits_1_before_reading_input(argv, flag, capsys):
     assert "absent.csv" not in err
 
 
-@pytest.mark.parametrize("command", ["stats", "baseline", "centrality"])
-def test_threads_flag_only_where_work_is_parallel(command, capsys):
-    assert main([command, "--input", str(FIXTURE), "--threads", "2"]) == 1
+@pytest.mark.parametrize(
+    "command",
+    ["stats", "centrality", "sweep", "rank", "correlate", "baseline", "export", "pipeline"],
+)
+def test_threads_flag_only_where_work_is_parallel(command, tmp_path, capsys):
+    # No stage runs in parallel, so no subcommand takes a thread count.
+    argv = [command, "--input", str(FIXTURE), "--threads", "2"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_pipeline_seed_flag_is_gone(tmp_path, capsys):
@@ -304,6 +317,43 @@ def test_baseline_with_zero_clustering_random_graph_exits_0(fmt, capsys):
         assert [v["sigma"] for v in verdicts] == [None, None]
     else:
         assert [r[0] for r in read_csv(out)[1:]] == ["actual", "gnp_p0.05", "gnp_p0.1"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_baseline_with_edgeless_random_graph_keeps_every_row(fmt, capsys):
+    # G(12, 0) has no arc, hence no reachable pair: its path statistics and
+    # sigma are undefined, and the actual row is still reported.
+    assert main(["baseline", "--input", str(FIXTURE), "--p", "0", "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert "WARNING sigma vs gnp_p0 is undefined" in err
+    if fmt == "json":
+        payload = json.loads(out)
+        actual, edgeless = payload["summaries"]
+        assert (actual["network"], actual["avg_path_length"]) == ("actual", 1.948718)
+        assert (edgeless["edges"], edgeless["avg_path_length"], edgeless["diameter"]) == (
+            0, None, None)
+        assert payload["verdicts"][0]["sigma"] is None
+    else:
+        assert read_csv(out)[1:] == [
+            ["actual", "12", "17", "1.948718", "0.294444", "5", "3"],
+            ["gnp_p0", "12", "0", "undefined", "0.000000", "undefined", "12"],
+        ]
+
+
+def test_caller_log_handlers_survive_main(caplog, capsys):
+    root = logging.getLogger()
+    before = list(root.handlers)
+    with caplog.at_level(logging.INFO):
+        assert main(["stats", "--input", str(FIXTURE)]) == 0
+        assert main(["stats", "--input", str(FIXTURE)]) == 0
+    assert root.handlers == before
+    assert caplog.handler in root.handlers
+    core_lines = [r.getMessage() for r in caplog.records if r.name == "influnet.graph"]
+    assert core_lines == [
+        "core: kept 8 of 12 nodes (4 outside the largest weak component)"
+    ] * 2
+    # Each call prints its line once: no handler is left behind to repeat it.
+    assert capsys.readouterr().err.count("INFO core: kept") == 2
 
 
 def test_core_restriction_is_reported_on_stderr(capsys):

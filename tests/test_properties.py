@@ -1,4 +1,4 @@
-"""Property tests: ingest round trip, relabelling, and fringe components."""
+"""Property tests: the graph index, ingest round trip, relabelling, and fringe components."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from influnet import (  # noqa: E402
     ConvergenceError,
     DirectedGraph,
     full_table,
+    induced_subgraph,
     largest_core,
     parse_edge_csv,
     summarize,
@@ -20,6 +21,7 @@ from influnet import (  # noqa: E402
 PROPERTY = settings(max_examples=50, derandomize=True, deadline=None, database=None)
 
 ids = st.integers(0, 10**6)
+arc_sets = st.sets(st.tuples(ids, ids).filter(lambda a: a[0] != a[1]), max_size=30)
 
 
 @st.composite
@@ -63,7 +65,34 @@ def table_or_failure(g: DirectedGraph):
 
 
 @PROPERTY
-@given(st.sets(st.tuples(ids, ids).filter(lambda a: a[0] != a[1]), max_size=30))
+@given(arc_sets, st.sets(ids, max_size=5), st.booleans())
+def test_index_is_sorted_and_mirrored(arcs, isolated, directed):
+    g = DirectedGraph(arcs, nodes=isolated, directed=directed)
+    assert list(g.ids) == sorted({v for arc in arcs for v in arc} | isolated)
+    assert g.pos == {v: p for p, v in enumerate(g.ids)}
+    assert len(g.out) == len(g.inc) == g.node_count
+    for targets in (*g.out, *g.inc):
+        assert list(targets) == sorted(set(targets))
+    out_pairs = {(p, q) for p, targets in enumerate(g.out) for q in targets}
+    inc_pairs = {(p, q) for q, sources in enumerate(g.inc) for p in sources}
+    assert out_pairs == inc_pairs
+
+
+@PROPERTY
+@given(arc_sets, st.booleans())
+def test_edges_are_the_sorted_input_arcs(arcs, directed):
+    g = DirectedGraph(arcs, directed=directed)
+    if directed:
+        assert list(g.edges()) == sorted(arcs)
+    else:
+        # One row per unordered pair, smaller id first.
+        assert list(g.edges()) == sorted({(min(a), max(a)) for a in arcs})
+        assert g.arc_set() == frozenset(arcs) | {(j, i) for i, j in arcs}
+    assert g.edge_count == len(list(g.edges()))
+
+
+@PROPERTY
+@given(arc_sets)
 def test_edge_csv_round_trips(arcs):
     g = DirectedGraph(arcs)  # every node is an arc end, so none is isolated
     assert parse_edge_csv(to_edge_csv(g)) == g
@@ -98,5 +127,10 @@ def test_smaller_disjoint_component_leaves_core_results_unchanged(data):
     )
     found = largest_core(g)
     assert found == core
+    rebuilt = DirectedGraph(  # through the validating constructor, from the id-level API
+        [(i, j) for i, j in g.arc_set() if i in core and j in core], nodes=core.nodes
+    )
+    assert found == induced_subgraph(g, core.nodes) == rebuilt
+    assert (found.ids, found.out, found.inc) == (rebuilt.ids, rebuilt.out, rebuilt.inc)
     assert summarize(found) == summarize(core)
     assert table_or_failure(found) == table_or_failure(core)

@@ -85,13 +85,13 @@ def test_rank_records_satisfy_score_identity():
         assert r.score == spreading_score(r.proportion_reached, r.days_required)
 
 
-def test_rank_threads_do_not_change_records():
+def test_rank_candidate_order_does_not_change_records():
     g = DirectedGraph([(1, 2), (2, 1), (3, 2), (2, 4), (4, 1), (5, 4), (5, 2)])
     t = full_table(g)
     config = DiffusionConfig(theta=0.25)
-    assert rank_candidates(g, sorted(g.nodes), config, t) == rank_candidates(
-        g, sorted(g.nodes), config, t, threads=3
-    )
+    ranked = rank_candidates(g, sorted(g.nodes), config, t)
+    assert rank_candidates(g, [5, 3, 1, 4, 2, 3], config, t) == ranked
+    assert rank_candidates(g, set(g.nodes), config, t) == ranked
 
 
 def test_rank_validation():
