@@ -27,7 +27,7 @@ from .errors import ConvergenceError, EdgeListParseError
 from .graph import DirectedGraph, ingest_edge_csv, largest_core
 from .table import dump_json, records, render
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("influnet.cli")  # not __name__, "__main__" under python -m
 
 DEFAULT_THETAS = (0.01, 0.05, 0.1, 0.2)
 

@@ -285,10 +285,10 @@ def _restrict(g: DirectedGraph, kept: list[int]) -> DirectedGraph:
 
 def induced_subgraph(g: DirectedGraph, keep: Iterable[int]) -> DirectedGraph:
     """Restrict the graph to ``keep``, retaining edges with both ends inside."""
-    keep_set = set(keep)
-    unknown = sorted(v for v in keep_set if v not in g.pos)
+    keep_set = frozenset(keep)
+    unknown = keep_set - g.nodes
     if unknown:
-        raise ValueError(f"unknown node id(s): {unknown[:5]}")
+        raise ValueError(f"unknown node id(s): {sorted(unknown)[:5]}")
     return _restrict(g, sorted(g.pos[v] for v in keep_set))
 
 

@@ -115,10 +115,9 @@ def rank_candidates(
     outd = table.column("out_degree")
     eig = table.column("eigenvector")
     btw = table.column("betweenness")
-    records = []
-    for v in pool:
-        tr = linear_threshold_run(g, v, config)
-        records.append(RankRecord.build(
+    traces = [linear_threshold_run(g, v, config) for v in pool]
+    records = [
+        RankRecord.build(
             node=v,
             in_degree=ind[v],
             out_degree=outd[v],
@@ -126,7 +125,9 @@ def rank_candidates(
             betweenness=btw[v],
             days_required=tr.saturation_day,
             proportion_reached=tr.proportion_reached,
-        ))
+        )
+        for v, tr in zip(pool, traces)
+    ]
     records.sort(key=_rank_key)
     return records
 
