@@ -128,6 +128,22 @@ def test_betweenness_matches_networkx():
             assert abs(t.betweenness[v] - ref[v]) < 1e-12
 
 
+def test_eigenvector_matches_networkx():
+    # networkx also sums each node's score over its in-edges (its followers)
+    # and normalizes to unit L2 norm.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(67)
+    for _ in range(12):
+        g = random_strongly_connected(rng, rng.randint(3, 40), rng.randint(0, 60))
+        ng = nx.DiGraph()
+        ng.add_nodes_from(g.nodes)
+        ng.add_edges_from(g.edges())
+        ref = nx.eigenvector_centrality(ng, max_iter=100000, tol=1e-14)
+        x = eigenvector_centrality(g).eigenvector
+        for v in g.nodes:
+            assert abs(x[v] - ref[v]) < 1e-8
+
+
 def test_eigenvector_mutual_triangle_is_uniform():
     edges = [(1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 1)]
     t = eigenvector_centrality(DirectedGraph(edges))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -10,7 +11,7 @@ import logging
 import pytest
 
 from influnet import metrics
-from influnet.cli import main
+from influnet.cli import build_parser, main
 from helpers import FIXTURE, GOLDEN_DIR
 
 REPORT_FILES = (
@@ -83,6 +84,37 @@ def test_bad_format_choice_exits_1(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "pipeline" in capsys.readouterr().out
+
+
+_HELP = {"-h": argparse.SUPPRESS, "--help": argparse.SUPPRESS}
+_COMMON = {**_HELP, "--input": None, "--format": "csv", "--out": None}
+_SOLVER = {"--tol": 1e-10, "--max-iter": 1000}
+_RANKING = {
+    **_COMMON, "--full-network": False, **_SOLVER, "--k": 10, "--theta": 0.1, "--days": 15,
+}
+FLAG_SURFACE = {
+    "stats": _COMMON,
+    "centrality": {**_COMMON, "--full-network": False, **_SOLVER},
+    "sweep": {
+        **_COMMON, "--full-network": False, "--seed-node": None,
+        "--thetas": [0.01, 0.05, 0.1, 0.2], "--days": 15,
+    },
+    "rank": _RANKING,
+    "correlate": _RANKING,
+    "baseline": {**_COMMON, "--model": "gnp", "--p": None, "--ws-k": 10, "--seed": 0},
+    "export": {**_HELP, "--input": None, "--format": "dot", "--out": None, "--core": False},
+    # A report directory, not stdout; no stage is randomized, so no --seed.
+    "pipeline": {**_RANKING, "--out": "report"},
+}
+
+
+def test_flag_surface_is_pinned():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(FLAG_SURFACE)
+    for command, p in sub.choices.items():
+        flags = {opt: p.get_default(a.dest) for a in p._actions for opt in a.option_strings}
+        assert flags == FLAG_SURFACE[command], command
 
 
 @pytest.mark.parametrize(

@@ -96,6 +96,17 @@ def test_clustering_matches_pair_counting_oracle():
             assert mine[v] == ref[v]
 
 
+def test_clustering_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(31)
+    for _ in range(30):
+        g = random_digraph(rng, rng.randint(3, 25), rng.choice([0.1, 0.2, 0.4]))
+        projection = nx.Graph()
+        projection.add_nodes_from(g.nodes)
+        projection.add_edges_from(g.edges())
+        assert local_clustering(g) == nx.clustering(projection)
+
+
 def test_path_stats_match_floyd_warshall():
     rng = random.Random(29)
     for _ in range(25):
