@@ -9,7 +9,6 @@ from .baselines import RandomGraphSpec, generate, gnp_random, watts_strogatz
 from .centrality import (
     CentralityTable,
     betweenness_centrality,
-    combine,
     degree_table,
     eigenvector_centrality,
     full_table,
@@ -78,7 +77,6 @@ __all__ = [
     "average_clustering",
     "average_path_length",
     "betweenness_centrality",
-    "combine",
     "correlation_matrix",
     "degree_table",
     "diameter",

@@ -5,13 +5,17 @@ Betweenness runs over directed shortest paths and is normalized by
 Eigenvector centrality scores flow along influence: an account's score is
 the sum of its followers' scores, iterated to a fixed point under an L2
 norm.  Degree columns come straight off the adjacency.
+
+Each measure returns a plain ``{node: score}`` dict (``degree_table`` the
+in- and out-degree pair); :func:`full_table` runs them all and holds the
+four columns in one :class:`CentralityTable`.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConvergenceError
 from .graph import DirectedGraph
@@ -23,42 +27,23 @@ MEASURES = ("in_degree", "betweenness", "eigenvector")
 
 @dataclass(frozen=True)
 class CentralityTable:
-    """Per-node score columns; a column is None until computed."""
+    """The four per-node score columns of one graph, keyed by node id."""
 
-    in_degree: dict[int, int] | None = None
-    out_degree: dict[int, int] | None = None
-    betweenness: dict[int, float] | None = None
-    eigenvector: dict[int, float] | None = None
-
-    def column(self, measure: str) -> dict:
-        if measure not in ("in_degree", "out_degree", "betweenness", "eigenvector"):
-            raise ValueError(f"unknown measure {measure!r}")
-        col = getattr(self, measure)
-        if col is None:
-            raise ValueError(f"measure {measure!r} has not been computed")
-        return col
+    in_degree: dict[int, int]
+    out_degree: dict[int, int]
+    betweenness: dict[int, float]
+    eigenvector: dict[int, float]
 
 
-def combine(*tables: CentralityTable) -> CentralityTable:
-    """Merge partial tables; later non-empty columns win."""
-    merged = CentralityTable()
-    for t in tables:
-        for name in ("in_degree", "out_degree", "betweenness", "eigenvector"):
-            col = getattr(t, name)
-            if col is not None:
-                merged = replace(merged, **{name: col})
-    return merged
-
-
-def degree_table(g: DirectedGraph) -> CentralityTable:
+def degree_table(g: DirectedGraph) -> tuple[dict[int, int], dict[int, int]]:
     """In-degree (follower count) and out-degree (following count) per node."""
-    return CentralityTable(
-        in_degree={n: len(f) for n, f in zip(g.ids, g.inc)},
-        out_degree={n: len(f) for n, f in zip(g.ids, g.out)},
+    return (
+        {n: len(f) for n, f in zip(g.ids, g.inc)},
+        {n: len(f) for n, f in zip(g.ids, g.out)},
     )
 
 
-def betweenness_centrality(g: DirectedGraph) -> CentralityTable:
+def betweenness_centrality(g: DirectedGraph) -> dict[int, float]:
     """Fraction of directed shortest paths passing through each node.
 
     Brandes' algorithm with dependencies accumulated in successor form:
@@ -72,7 +57,7 @@ def betweenness_centrality(g: DirectedGraph) -> CentralityTable:
     n = len(ids)
     if n < 3:
         log.warning("betweenness is identically 0 on graphs with fewer than 3 nodes")
-        return CentralityTable(betweenness={v: 0.0 for v in ids})
+        return {v: 0.0 for v in ids}
     adj = g.out
     acc = [0.0] * n
     # coeff[x] = (1 + delta[x]) / sigma[x]; an entry is read only for a node
@@ -108,16 +93,15 @@ def betweenness_centrality(g: DirectedGraph) -> CentralityTable:
             coeff[w] = (1.0 + delta) / sw
             acc[w] += delta
     scale = 1.0 / ((n - 1) * (n - 2))
-    return CentralityTable(betweenness={ids[k]: acc[k] * scale for k in range(n)})
+    return {ids[k]: acc[k] * scale for k in range(n)}
 
 
 def eigenvector_centrality(
     g: DirectedGraph,
     tol: float = 1e-10,
     max_iter: int = 1000,
-    start: dict[int, float] | None = None,
     shifted: bool = False,
-) -> CentralityTable:
+) -> dict[int, float]:
     """Dominant-eigenvector scores by power iteration.
 
     Each step replaces a node's score with the sum of its followers'
@@ -144,32 +128,24 @@ def eigenvector_centrality(
     ids = g.ids
     n = len(ids)
     followers = tuple(f + (k,) for k, f in enumerate(g.inc)) if shifted else g.inc
-    if start is None:
-        x = [1.0 / math.sqrt(n)] * n
-    else:
-        if start.keys() != g.nodes:
-            raise ValueError("start vector must cover exactly the graph's nodes")
-        norm = math.sqrt(math.fsum(start[v] * start[v] for v in ids))
-        if norm == 0.0:
-            raise ValueError("start vector must be nonzero")
-        x = [start[v] / norm for v in ids]
+    x = [1.0 / math.sqrt(n)] * n
     residual = math.inf
     for _ in range(max_iter):
         y = [math.fsum(x[u] for u in followers[v]) for v in range(n)]
         norm = math.sqrt(math.fsum(c * c for c in y))
         if norm == 0.0:
             # x is annihilated by the step: an exact eigenvector for 0.
-            return CentralityTable(eigenvector={ids[k]: x[k] for k in range(n)})
+            return dict(zip(ids, x))
         lam = math.fsum(x[k] * y[k] for k in range(n))
         residual = max(abs(y[k] - lam * x[k]) for k in range(n))
         y = [c / norm for c in y]
         change = max(abs(y[k] - x[k]) for k in range(n))
         if change < tol and residual < 10.0 * tol:
-            return CentralityTable(eigenvector={ids[k]: x[k] for k in range(n)})
+            return dict(zip(ids, x))
         x = y
     raise ConvergenceError(
         f"eigenvector iteration did not settle within {max_iter} steps",
-        iterate={ids[k]: x[k] for k in range(n)},
+        iterate=dict(zip(ids, x)),
         residual=residual,
     )
 
@@ -193,7 +169,8 @@ def full_table(
             exc.residual,
         )
         eig = eigenvector_centrality(g, tol=tol, max_iter=max_iter, shifted=True)
-    return combine(degree_table(g), betweenness_centrality(g), eig)
+    in_degree, out_degree = degree_table(g)
+    return CentralityTable(in_degree, out_degree, betweenness_centrality(g), eig)
 
 
 def top_k(table: CentralityTable, measure: str, k: int) -> list[int]:
@@ -202,7 +179,7 @@ def top_k(table: CentralityTable, measure: str, k: int) -> list[int]:
         raise ValueError(f"unknown measure {measure!r}; choose from {MEASURES}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    col = table.column(measure)
+    col = getattr(table, measure)
     ranked = sorted(col, key=lambda v: (-col[v], v))
     return ranked[:k]
 
@@ -217,12 +194,9 @@ CENTRALITY_COLUMNS = (
 
 
 def centrality_rows(table: CentralityTable) -> list[tuple]:
-    """Rows of a full table, sorted by in-degree then node id."""
-    ind = table.column("in_degree")
-    outd = table.column("out_degree")
-    btw = table.column("betweenness")
-    eig = table.column("eigenvector")
+    """One row per node, sorted by in-degree then node id."""
+    ind = table.in_degree
     return [
-        (v, ind[v], outd[v], btw[v], eig[v])
+        (v, ind[v], table.out_degree[v], table.betweenness[v], table.eigenvector[v])
         for v in sorted(ind, key=lambda v: (-ind[v], v))
     ]

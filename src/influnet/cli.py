@@ -112,12 +112,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _rank(
+    g: DirectedGraph, top_k: int, theta: float, max_days: int, tol: float, max_iter: int
+) -> tuple[centrality.CentralityTable, list[ranking.RankRecord]]:
+    """The centrality table, and the ranked cascades of its top-k candidates."""
+    table = centrality.full_table(g, tol=tol, max_iter=max_iter)
+    candidates = ranking.select_candidates(table, top_k)
+    config = diffusion.DiffusionConfig(theta=theta, max_days=max_days)
+    return table, ranking.rank_candidates(g, candidates, config, table)
+
+
 def _ranked_records(args: argparse.Namespace) -> list[ranking.RankRecord]:
     g = _region(_read_graph(Path(args.input)), not args.full_network)
-    table = centrality.full_table(g, tol=args.tol, max_iter=args.max_iter)
-    candidates = ranking.select_candidates(table, args.k)
-    config = diffusion.DiffusionConfig(theta=args.theta, max_days=args.days)
-    return ranking.rank_candidates(g, candidates, config, table)
+    return _rank(g, args.k, args.theta, args.days, args.tol, args.max_iter)[1]
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
@@ -191,10 +198,9 @@ def run_pipeline(config: PipelineConfig) -> ranking.Recommendation:
     core = largest_core(g)
     summary_rows = _summary_rows(g, core)
     region = core if config.use_core else g
-    table = centrality.full_table(region, tol=config.tol, max_iter=config.max_iter)
-    candidates = ranking.select_candidates(table, config.top_k)
-    diff_config = diffusion.DiffusionConfig(theta=config.theta, max_days=config.max_days)
-    records = ranking.rank_candidates(region, candidates, diff_config, table)
+    table, records = _rank(
+        region, config.top_k, config.theta, config.max_days, config.tol, config.max_iter
+    )
     matrix = ranking.correlation_matrix(records)
     rec = ranking.recommend(records)
 
@@ -245,7 +251,11 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser, region_flag: bool = True) -> None:
     p.add_argument("--input", required=True, help="edge CSV (header i,j)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None, help="output file (default stdout)")
+    p.add_argument(
+        "--out",
+        default=None,
+        help="output file, default stdout (pipeline: report directory, default report)",
+    )
     if region_flag:
         p.add_argument(
             "--full-network",
@@ -353,16 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("pipeline", help="full analysis into a report directory")
-    p.add_argument("--input", required=True, help="edge CSV (header i,j)")
-    p.add_argument("--theta", type=_probability, default=0.1)
-    p.add_argument("--days", type=_positive_int, default=15)
-    p.add_argument("--k", type=_positive_int, default=10)
-    p.add_argument("--full-network", action="store_true")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default="report", help="report directory")
-    p.add_argument("--tol", type=_positive_finite, default=1e-10)
-    p.add_argument("--max-iter", type=_positive_int, default=1000)
-    p.set_defaults(func=_cmd_pipeline)
+    _add_common(p)
+    _add_ranking(p)
+    p.set_defaults(func=_cmd_pipeline, out="report")
 
     return parser
 

@@ -165,10 +165,12 @@ def ingest_edge_csv(source: str | TextIO | Iterable[str]) -> IngestResult:
     """Parse a two-column edge CSV into a directed graph.
 
     The first non-blank line must be a header; one that reads as two
-    integer ids is taken for a missing header and rejected, so no edge is
-    lost.  Each following row is ``i,j`` meaning account i follows account
-    j.  Self-loops and repeated rows are dropped and counted.  Malformed
-    rows raise :class:`EdgeListParseError` with the offending line number.
+    integer ids (after any UTF-8 byte-order mark) is taken for a missing
+    header and rejected, so no edge is lost.  Each following row is
+    ``i,j`` meaning account i follows account j, each id written in ASCII
+    decimal digits.  Self-loops and repeated rows are dropped and counted.
+    Malformed rows raise :class:`EdgeListParseError` with the offending
+    line number.
     """
     if isinstance(source, str):
         lines: Iterable[str] = io.StringIO(source)
@@ -186,6 +188,9 @@ def ingest_edge_csv(source: str | TextIO | Iterable[str]) -> IngestResult:
             continue
         if not header_seen:
             header_seen = True
+            # A UTF-8 byte-order mark would otherwise make a first edge
+            # read as a header.
+            row = row.removeprefix("\ufeff")
             if _is_edge_row(row):
                 raise EdgeListParseError(
                     f"missing header row; first row {row!r} is an edge", line_no
@@ -196,13 +201,17 @@ def ingest_edge_csv(source: str | TextIO | Iterable[str]) -> IngestResult:
             raise EdgeListParseError(
                 f"expected 2 comma-separated fields, got {len(parts)}", line_no
             )
-        try:
-            i = int(parts[0].strip())
-            j = int(parts[1].strip())
-        except ValueError:
-            raise EdgeListParseError(f"non-integer node id in {row!r}", line_no) from None
-        if i < 0 or j < 0:
-            raise EdgeListParseError(f"negative node id in {row!r}", line_no)
+        a = parts[0].strip()
+        b = parts[1].strip()
+        # int() alone would also read "+3", "1_0" and non-ASCII digits.
+        if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
+            if all(t.isascii() and t.removeprefix("-").isdigit() for t in (a, b)):
+                raise EdgeListParseError(f"negative node id in {row!r}", line_no)
+            raise EdgeListParseError(
+                f"node ids must be decimal digits, got {row!r}", line_no
+            )
+        i = int(a)
+        j = int(b)
         if i == j:
             loops += 1
             continue

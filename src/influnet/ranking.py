@@ -10,7 +10,7 @@ structural measures track simulated reach.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .centrality import MEASURES, CentralityTable, top_k
@@ -33,6 +33,8 @@ RANK_COLUMNS = (
 
 @dataclass(frozen=True)
 class RankRecord:
+    """One candidate's centrality profile and cascade; the score is derived."""
+
     node: int
     in_degree: int
     out_degree: int
@@ -40,38 +42,11 @@ class RankRecord:
     betweenness: float
     days_required: int
     proportion_reached: float
-    score: float
+    score: float = field(init=False)
 
     def __post_init__(self) -> None:
-        expected = spreading_score(self.proportion_reached, self.days_required)
-        if self.score != expected:
-            raise ValueError(
-                f"score {self.score!r} does not match "
-                f"100 * proportion / max(days, 1) = {expected!r}"
-            )
-
-    @classmethod
-    def build(
-        cls,
-        node: int,
-        in_degree: int,
-        out_degree: int,
-        eigenvector: float,
-        betweenness: float,
-        days_required: int,
-        proportion_reached: float,
-    ) -> "RankRecord":
-        """Construct a record, deriving the score from reach and days."""
-        return cls(
-            node=node,
-            in_degree=in_degree,
-            out_degree=out_degree,
-            eigenvector=eigenvector,
-            betweenness=betweenness,
-            days_required=days_required,
-            proportion_reached=proportion_reached,
-            score=spreading_score(proportion_reached, days_required),
-        )
+        score = spreading_score(self.proportion_reached, self.days_required)
+        object.__setattr__(self, "score", score)
 
 
 @dataclass(frozen=True)
@@ -111,18 +86,14 @@ def rank_candidates(
     missing = [v for v in pool if v not in g]
     if missing:
         raise ValueError(f"candidate(s) not in graph: {missing[:5]}")
-    ind = table.column("in_degree")
-    outd = table.column("out_degree")
-    eig = table.column("eigenvector")
-    btw = table.column("betweenness")
     traces = [linear_threshold_run(g, v, config) for v in pool]
     records = [
-        RankRecord.build(
+        RankRecord(
             node=v,
-            in_degree=ind[v],
-            out_degree=outd[v],
-            eigenvector=eig[v],
-            betweenness=btw[v],
+            in_degree=table.in_degree[v],
+            out_degree=table.out_degree[v],
+            eigenvector=table.eigenvector[v],
+            betweenness=table.betweenness[v],
             days_required=tr.saturation_day,
             proportion_reached=tr.proportion_reached,
         )

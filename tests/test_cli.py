@@ -7,9 +7,14 @@ import csv
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import influnet
 from influnet import metrics
 from influnet.cli import build_parser, main
 from helpers import FIXTURE, GOLDEN_DIR
@@ -84,6 +89,21 @@ def test_bad_format_choice_exits_1(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "pipeline" in capsys.readouterr().out
+
+
+def test_python_m_influnet_runs_the_cli():
+    src = str(Path(influnet.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "influnet", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "pipeline" in proc.stdout
+    assert proc.stderr == ""
 
 
 _HELP = {"-h": argparse.SUPPRESS, "--help": argparse.SUPPRESS}

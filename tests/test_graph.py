@@ -46,10 +46,14 @@ def test_parse_rejects_edge_in_header_position():
     with pytest.raises(EdgeListParseError) as err:
         parse_edge_csv("\n 4 , 5 \n5,6\n")
     assert err.value.line_no == 2
+    # A UTF-8 byte-order mark does not disguise the first edge as a header.
+    with pytest.raises(EdgeListParseError, match="header") as err:
+        parse_edge_csv("\ufeff1,2\n2,3\n3,1\n")
+    assert err.value.line_no == 1
 
 
 def test_parse_accepts_any_non_numeric_header():
-    for header in ("i,j", "follower,followee", "source", "a,b,c", "1,x"):
+    for header in ("i,j", "\ufeffi,j", "follower,followee", "source", "a,b,c", "1,x"):
         g = parse_edge_csv(f"{header}\n1,2\n")
         assert sorted(g.edges()) == [(1, 2)]
 
@@ -62,14 +66,18 @@ def test_parse_wrong_arity_reports_line():
 
 
 def test_parse_non_integer_reports_line():
-    with pytest.raises(EdgeListParseError) as err:
-        parse_edge_csv("i,j\nfoo,2\n")
-    assert err.value.line_no == 2
+    # Only ASCII decimal digits: int() would also take "+3", "1_0" and "\u0663".
+    for bad in ("foo,2", "1_0,2", "+3,2", "2,\u0663", "1.0,2", ",2", "-0x1,2"):
+        with pytest.raises(EdgeListParseError, match="decimal digits") as err:
+            parse_edge_csv(f"i,j\n1,2\n{bad}\n2,3\n")
+        assert err.value.line_no == 3
 
 
 def test_parse_negative_id_rejected():
-    with pytest.raises(EdgeListParseError):
-        parse_edge_csv("i,j\n-1,2\n")
+    for bad in ("-1,2", "2,-7"):
+        with pytest.raises(EdgeListParseError, match="negative node id") as err:
+            parse_edge_csv(f"i,j\n{bad}\n")
+        assert err.value.line_no == 2
 
 
 def test_parse_drops_and_counts_self_loops():

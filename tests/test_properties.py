@@ -111,7 +111,7 @@ def test_relabelling_commutes_with_summary_and_centrality(data):
         assert after is ConvergenceError
         return
     for name in ("in_degree", "out_degree", "betweenness", "eigenvector"):
-        col, moved = before.column(name), after.column(name)
+        col, moved = getattr(before, name), getattr(after, name)
         for v in g.nodes:
             assert moved[mapping[v]] == pytest.approx(col[v], abs=1e-12), (name, v)
 

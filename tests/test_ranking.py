@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -27,7 +28,7 @@ RANK_LABELS = tuple(name for name, _ in RANK_COLUMNS)
 
 
 def make_record(rng: random.Random, node: int) -> RankRecord:
-    return RankRecord.build(
+    return RankRecord(
         node=node,
         in_degree=rng.randint(0, 50),
         out_degree=rng.randint(0, 50),
@@ -103,18 +104,19 @@ def test_rank_validation():
         rank_candidates(g, [99], DiffusionConfig(), t)
 
 
-def test_record_rejects_inconsistent_score():
-    with pytest.raises(ValueError, match="does not match"):
-        RankRecord(
-            node=1,
-            in_degree=1,
-            out_degree=1,
-            eigenvector=0.5,
-            betweenness=0.1,
-            days_required=2,
-            proportion_reached=0.8,
-            score=99.0,
-        )
+def test_record_derives_its_score():
+    fields = dict(
+        node=1,
+        in_degree=1,
+        out_degree=1,
+        eigenvector=0.5,
+        betweenness=0.1,
+        days_required=2,
+        proportion_reached=0.8,
+    )
+    assert astuple(RankRecord(**fields)) == (1, 1, 1, 0.5, 0.1, 2, 0.8, 40.0)
+    with pytest.raises(TypeError, match="score"):
+        RankRecord(**fields, score=99.0)
 
 
 def test_rank_csv_column_order():
@@ -139,7 +141,7 @@ def test_correlation_matrix_shape_and_diagonal():
 
 def test_correlation_linear_columns():
     records = [
-        RankRecord.build(
+        RankRecord(
             node=i,
             in_degree=2 * i + 3,
             out_degree=50 - i,
@@ -159,7 +161,7 @@ def test_correlation_linear_columns():
 
 def test_correlation_constant_column_is_undefined():
     records = [
-        RankRecord.build(
+        RankRecord(
             node=i,
             in_degree=5,
             out_degree=i,
@@ -185,7 +187,7 @@ def test_correlation_needs_two_records():
 
 def test_correlation_csv_labels_and_undefined_cells():
     records = [
-        RankRecord.build(
+        RankRecord(
             node=i,
             in_degree=5,
             out_degree=i,
