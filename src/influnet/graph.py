@@ -204,8 +204,8 @@ def ingest_edge_csv(source: str | TextIO | Iterable[str]) -> IngestResult:
         a = parts[0].strip()
         b = parts[1].strip()
         # int() alone would also read "+3", "1_0" and non-ASCII digits.
-        if not (a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
-            if all(t.isascii() and t.removeprefix("-").isdigit() for t in (a, b)):
+        if not (row.isascii() and a.isdigit() and b.isdigit()):
+            if row.isascii() and all(t.removeprefix("-").isdigit() for t in (a, b)):
                 raise EdgeListParseError(f"negative node id in {row!r}", line_no)
             raise EdgeListParseError(
                 f"node ids must be decimal digits, got {row!r}", line_no
