@@ -29,8 +29,6 @@ from .table import dump_json, records, render
 
 log = logging.getLogger("influnet.cli")  # not __name__, "__main__" under python -m
 
-DEFAULT_THETAS = (0.01, 0.05, 0.1, 0.2)
-
 
 @dataclass
 class PipelineConfig:
@@ -38,7 +36,6 @@ class PipelineConfig:
     theta: float = 0.1
     max_days: int = 15
     top_k: int = 10
-    thetas: tuple[float, ...] = DEFAULT_THETAS
     use_core: bool = True
     output_format: str = "csv"
     out_dir: Path = Path("report")
@@ -98,10 +95,9 @@ def _cmd_centrality(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     g = _region(_read_graph(Path(args.input)), not args.full_network)
-    if args.seed_node is not None:
-        seed = args.seed_node
-    else:
-        seed = max(sorted(g.nodes), key=lambda v: g.in_degree(v))
+    seed = args.seed_node
+    if seed is None:
+        seed = max(g.ids, key=g.in_degree)  # ids ascend: the smallest id wins ties
     traces = diffusion.threshold_sweep(g, seed, args.thetas, args.days)
     # JSON keeps one object per trace; CSV spells out one row per day.
     if args.format == "json":
@@ -286,6 +282,13 @@ _probability = _checked(float, "a number", lambda v: 0.0 <= v <= 1.0, "in [0, 1]
 _positive_finite = _checked(float, "a number", lambda v: 0.0 < v < math.inf, "positive and finite")
 
 
+def _node_id(text: str) -> int:
+    """An argparse type: ASCII decimal digits, as in the CSV; int() also reads "+1" and "0_1"."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected decimal digits, got {text!r}")
+    return int(text)
+
+
 def _add_solver(p: argparse.ArgumentParser) -> None:
     """Flags of the subcommands that build the centrality table."""
     p.add_argument("--tol", type=_positive_finite, default=1e-10, help="eigenvector tolerance")
@@ -320,13 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="one seed's cascade across several thresholds")
     _add_common(p)
-    p.add_argument(
-        "--seed-node",
-        type=int,
-        default=None,
-        help="cascade seed (default: node with most followers)",
-    )
-    p.add_argument("--thetas", type=_probability, nargs="+", default=list(DEFAULT_THETAS))
+    p.add_argument("--seed-node", type=_node_id, help="cascade seed (default: most-followed node)")
+    p.add_argument("--thetas", type=_probability, nargs="+", default=[*diffusion.DEFAULT_THETAS])
     p.add_argument("--days", type=_positive_int, default=15, help="day cap per cascade")
     p.set_defaults(func=_cmd_sweep)
 

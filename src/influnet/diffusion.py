@@ -116,10 +116,13 @@ def spreading_capacity(trace: DiffusionTrace) -> float:
     return spreading_score(trace.proportion_reached, trace.saturation_day)
 
 
+DEFAULT_THETAS = (0.01, 0.05, 0.1, 0.2)
+
+
 def threshold_sweep(
     g: DirectedGraph,
     seed: int,
-    thetas: Sequence[float] = (0.01, 0.05, 0.1, 0.2),
+    thetas: Sequence[float] = DEFAULT_THETAS,
     max_days: int = 15,
 ) -> list[DiffusionTrace]:
     """Repeat one seed's cascade across a grid of thresholds."""

@@ -28,7 +28,7 @@ def _to_dot(g: DirectedGraph) -> str:
     kind = "digraph" if g.directed else "graph"
     arrow = "->" if g.directed else "--"
     lines = [f"{kind} G {{"]
-    for n in sorted(g.nodes):
+    for n in g.ids:
         lines.append(f'  {n} [size={g.in_degree(n)}];')
     for i, j in g.edges():
         lines.append(f"  {i} {arrow} {j};")
@@ -44,7 +44,7 @@ def _to_graphml(g: DirectedGraph) -> str:
         '  <key id="size" for="node" attr.name="size" attr.type="int"/>',
         f'  <graph id="G" edgedefault="{default}">',
     ]
-    for n in sorted(g.nodes):
+    for n in g.ids:
         lines.append(
             f'    <node id="n{n}"><data key="size">{g.in_degree(n)}</data></node>'
         )

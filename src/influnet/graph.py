@@ -177,9 +177,7 @@ def ingest_edge_csv(source: str | TextIO | Iterable[str]) -> IngestResult:
     else:
         lines = source
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     loops = 0
-    dupes = 0
     header_seen = False
     line_no = 0
     for line_no, raw in enumerate(lines, start=1):
@@ -215,18 +213,18 @@ def ingest_edge_csv(source: str | TextIO | Iterable[str]) -> IngestResult:
         if i == j:
             loops += 1
             continue
-        if (i, j) in seen:
-            dupes += 1
-            continue
-        seen.add((i, j))
         edges.append((i, j))
     if not header_seen:
         raise EdgeListParseError("missing header row", max(line_no, 1))
+    # The constructor drops repeated arcs; the graph is directed, so each
+    # dropped row is one arc fewer.
+    graph = DirectedGraph(edges)
+    dupes = len(edges) - graph.edge_count
     if loops:
         log.warning("dropped %d self-loop row(s)", loops)
     if dupes:
         log.warning("dropped %d duplicate row(s)", dupes)
-    return IngestResult(DirectedGraph(edges), loops, dupes)
+    return IngestResult(graph, loops, dupes)
 
 
 def _is_edge_row(row: str) -> bool:

@@ -159,6 +159,9 @@ def test_flag_surface_is_pinned():
         (["baseline", "--ws-k", "0"], "--ws-k"),
         (["baseline", "--ws-k", "-2"], "--ws-k"),
         (["baseline", "--ws-k", "four"], "--ws-k"),
+        (["sweep", "--seed-node", "0_1"], "--seed-node"),
+        (["sweep", "--seed-node", "+1"], "--seed-node"),
+        (["sweep", "--seed-node", "-1"], "--seed-node"),
     ],
 )
 def test_bad_flag_value_exits_1_before_reading_input(argv, flag, capsys):

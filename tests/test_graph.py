@@ -108,6 +108,10 @@ def test_construction_rejects_bad_ids():
         DirectedGraph([(-1, 2)])
     with pytest.raises(ValueError):
         DirectedGraph([], nodes=["a"])  # type: ignore[list-item]
+    # An arc equal in value to one already seen is still checked.
+    for bad in ((True, 2), (1, False), (1.0, 2), (1, 2.0)):
+        with pytest.raises(ValueError):
+            DirectedGraph([(1, 2), bad])  # type: ignore[list-item]
 
 
 def test_undirected_graph_symmetrizes():

@@ -5,13 +5,14 @@ from __future__ import annotations
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from influnet import (  # noqa: E402
     ConvergenceError,
     DirectedGraph,
     full_table,
     induced_subgraph,
+    ingest_edge_csv,
     largest_core,
     parse_edge_csv,
     summarize,
@@ -96,6 +97,26 @@ def test_edges_are_the_sorted_input_arcs(arcs, directed):
 def test_edge_csv_round_trips(arcs):
     g = DirectedGraph(arcs)  # every node is an arc end, so none is isolated
     assert parse_edge_csv(to_edge_csv(g)) == g
+
+
+# caplog is shared by the examples, so each one clears it first.
+@settings(PROPERTY, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(arc_sets, st.data())
+def test_ingest_equals_constructor_over_distinct_rows(caplog, arcs, data):
+    repeated = st.lists(st.sampled_from(sorted(arcs)), max_size=10) if arcs else st.just([])
+    repeats = data.draw(repeated)
+    loops = data.draw(st.lists(ids, max_size=5))
+    rows = data.draw(st.permutations([*arcs, *repeats, *((v, v) for v in loops)]))
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="influnet.graph"):
+        result = ingest_edge_csv("i,j\n" + "".join(f"{i},{j}\n" for i, j in rows))
+    assert result.graph == DirectedGraph(arcs)
+    assert (result.self_loops_dropped, result.duplicates_dropped) == (len(loops), len(repeats))
+    warned = [r.getMessage() for r in caplog.records]
+    assert warned == [
+        *([f"dropped {len(loops)} self-loop row(s)"] if loops else []),
+        *([f"dropped {len(repeats)} duplicate row(s)"] if repeats else []),
+    ]
 
 
 @PROPERTY
