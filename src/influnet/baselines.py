@@ -4,10 +4,16 @@ Both generators draw from ``random.Random``, whose Mersenne Twister
 stream is identical on every platform, so a (spec, seed) pair names one
 reproducible graph.  Node pairs are visited in lexicographic order and
 every random decision happens in that fixed order.
+
+G(n, p) skips geometrically from one chosen pair to the next instead of
+tossing a coin per pair (Batagelj & Brandes, "Efficient generation of
+large random networks", Phys. Rev. E 71, 036113, 2005), so it makes
+O(n + m) draws rather than n(n-1)/2.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -15,17 +21,44 @@ from .graph import DirectedGraph
 
 
 def gnp_random(n: int, p: float, rng_seed: int) -> DirectedGraph:
-    """Erdos-Renyi G(n, p): each unordered pair tossed once."""
+    """Erdos-Renyi G(n, p): each unordered pair chosen with probability p.
+
+    The pairs (i, j > i) are walked in lexicographic order.  The number of
+    pairs passed over before the next chosen one is geometric, drawn as
+    floor(log1p(-r) / log1p(-p)) from one uniform r, so only the chosen
+    pairs and one final overshooting draw cost anything.  Each pair goes
+    straight into both endpoints' position lists, which come out sorted:
+    a node's lower neighbours are found in earlier rows than its higher
+    ones.
+    """
     _check_n(n)
     _check_prob(p, "p")
-    rng = random.Random(rng_seed)
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < p
-    ]
-    return DirectedGraph(edges, nodes=range(n), directed=False)
+    out: list[list[int]] = [[] for _ in range(n)]
+    if p == 1.0:
+        # log1p(-1) is undefined; every pair is chosen.
+        out = [[*range(i), *range(i + 1, n)] for i in range(n)]
+    elif p > 0.0:
+        rng = random.Random(rng_seed)
+        log_q = math.log1p(-p)
+        last = n * (n - 1) // 2 - 1  # flat index of the final pair (n-2, n-1)
+        k = -1  # flat index of the current pair (i, j); (0, 0) stands before (0, 1)
+        i = j = 0
+        while True:
+            skip = math.log1p(-rng.random()) / log_q
+            # Compared as a float first: a tiny p makes it inf, which int() rejects.
+            if skip >= last - k:
+                break
+            step = int(skip) + 1
+            k += step
+            j += step
+            while j >= n:
+                i += 1
+                j -= n - i - 1  # row i holds the pairs (i, i+1) .. (i, n-1)
+            out[i].append(j)
+            out[j].append(i)
+    g = DirectedGraph.__new__(DirectedGraph)
+    g._set_index(tuple(range(n)), tuple(map(tuple, out)), directed=False)
+    return g
 
 
 def watts_strogatz(n: int, k: int, p_rewire: float, rng_seed: int) -> DirectedGraph:

@@ -66,16 +66,23 @@ class DirectedGraph:
     def _set_index(
         self, ids: tuple[int, ...], out: tuple[tuple[int, ...], ...], directed: bool
     ) -> None:
-        """Adopt an index that is already valid: ids sorted, each out[p] sorted."""
-        # Sources are visited in position order, so each inc[q] comes out sorted.
-        inc: list[list[int]] = [[] for _ in ids]
-        for p, targets in enumerate(out):
-            for q in targets:
-                inc[q].append(p)
+        """Adopt an index that is already valid: ids sorted, each out[p] sorted.
+
+        An undirected graph's arcs must be symmetric; its ``inc`` is then
+        ``out`` itself, since followers and followees coincide.
+        """
         self.ids = ids
         self.pos = {v: k for k, v in enumerate(ids)}
         self.out = out
-        self.inc = tuple(map(tuple, inc))
+        if directed:
+            # Sources are visited in position order, so each inc[q] comes out sorted.
+            inc: list[list[int]] = [[] for _ in ids]
+            for p, targets in enumerate(out):
+                for q in targets:
+                    inc[q].append(p)
+            self.inc = tuple(map(tuple, inc))
+        else:
+            self.inc = out
         self.directed = directed
         self._arc_count = sum(map(len, out))
 

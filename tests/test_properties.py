@@ -1,4 +1,4 @@
-"""Property tests: the graph index, ingest round trip, relabelling, and fringe components."""
+"""Property tests: graph and G(n, p) indexes, ingest round trip, relabelling, fringes."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from influnet import (  # noqa: E402
     ConvergenceError,
     DirectedGraph,
     full_table,
+    gnp_random,
     induced_subgraph,
     ingest_edge_csv,
     largest_core,
@@ -76,6 +77,18 @@ def test_index_is_sorted_and_mirrored(arcs, isolated, directed):
         assert list(targets) == sorted(set(targets))
     out_pairs = {(p, q) for p, targets in enumerate(g.out) for q in targets}
     inc_pairs = {(p, q) for q, sources in enumerate(g.inc) for p in sources}
+    assert out_pairs == inc_pairs
+
+
+@PROPERTY
+@given(st.integers(2, 40), st.floats(0.0, 1.0), st.integers(0, 2**64))
+def test_gnp_random_builds_the_constructors_index(n, p, seed):
+    g = gnp_random(n, p, seed)
+    ref = DirectedGraph(g.edges(), nodes=range(n), directed=False)
+    assert g == ref
+    assert (g.pos, g.inc, g.edge_count) == (ref.pos, ref.inc, ref.edge_count)
+    out_pairs = {(a, b) for a, targets in enumerate(g.out) for b in targets}
+    inc_pairs = {(a, b) for b, sources in enumerate(g.inc) for a in sources}
     assert out_pairs == inc_pairs
 
 
