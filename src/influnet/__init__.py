@@ -14,7 +14,7 @@ from .centrality import (
     full_table,
     top_k,
 )
-from .cli import PipelineConfig, main, run_pipeline
+from .cli import main
 from .diffusion import (
     DiffusionConfig,
     DiffusionTrace,
@@ -69,7 +69,6 @@ __all__ = [
     "EdgeListParseError",
     "IngestResult",
     "NetworkSummary",
-    "PipelineConfig",
     "RandomGraphSpec",
     "RankRecord",
     "Recommendation",
@@ -96,7 +95,6 @@ __all__ = [
     "recommend",
     "recommendation_json",
     "render",
-    "run_pipeline",
     "select_candidates",
     "small_world_sigma",
     "spreading_capacity",

@@ -6,10 +6,17 @@ writes a report directory.  Table reports are rendered by
 :func:`influnet.table.render` from the column spec of the module that
 computes them, so ``--format`` picks CSV or JSON for all of them alike.
 
+Each subcommand has one handler, ``_cmd_<name>(args)``, which reads its
+flags, computes, and writes its report.  ``pipeline`` writes the texts
+that ``stats``, ``centrality``, ``rank`` and ``correlate`` print for the
+same flags, from the same ``_*_report`` functions, plus
+``recommendation.json``.
+
 Exit codes: 0 success, 1 usage error (including a flag value out of
 range, caught before any work runs), 2 unreadable or invalid data, 3
-iteration failed to converge.  Reruns with the same inputs and seed are
-byte-identical.
+iteration failed to converge, 141 stdout closed before the report was
+written (a broken pipe, as in ``| head``).  Reruns with the same inputs
+and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -17,8 +24,9 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import os
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import astuple
 from pathlib import Path
 from typing import Any, Callable
 
@@ -30,36 +38,36 @@ from .table import dump_json, records, render
 log = logging.getLogger("influnet.cli")  # not __name__, "__main__" under python -m
 
 
-@dataclass
-class PipelineConfig:
-    input_path: Path
-    theta: float = 0.1
-    max_days: int = 15
-    top_k: int = 10
-    use_core: bool = True
-    output_format: str = "csv"
-    out_dir: Path = Path("report")
-    tol: float = 1e-10
-    max_iter: int = 1000
-
-
-def _read_graph(path: Path) -> DirectedGraph:
-    with path.open("r", encoding="utf-8") as fh:
+def _read_graph(args: argparse.Namespace) -> DirectedGraph:
+    with open(args.input, "r", encoding="utf-8") as fh:
         return ingest_edge_csv(fh).graph
 
 
-def _region(g: DirectedGraph, use_core: bool) -> DirectedGraph:
-    return largest_core(g) if use_core else g
+def _region(args: argparse.Namespace) -> DirectedGraph:
+    """The input's largest core, or the whole graph under ``--full-network``."""
+    g = _read_graph(args)
+    return g if args.full_network else largest_core(g)
 
 
 def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
+        sys.stdout.flush()  # a closed pipe fails here, inside main, not at exit
     else:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _summary_rows(g: DirectedGraph, core: DirectedGraph) -> list[tuple]:
+def _rank(
+    g: DirectedGraph, args: argparse.Namespace
+) -> tuple[centrality.CentralityTable, list[ranking.RankRecord]]:
+    """The centrality table, and the ranked cascades of its top-k candidates."""
+    table = centrality.full_table(g, tol=args.tol, max_iter=args.max_iter)
+    candidates = ranking.select_candidates(table, args.k)
+    config = diffusion.DiffusionConfig(theta=args.theta, max_days=args.days)
+    return table, ranking.rank_candidates(g, candidates, config, table)
+
+
+def _stats_report(g: DirectedGraph, core: DirectedGraph, fmt: str) -> str:
     """The "full" row, and a "core" row when the core has a pair of nodes.
 
     When the graph is its own core the full summary is reused, so the
@@ -69,7 +77,15 @@ def _summary_rows(g: DirectedGraph, core: DirectedGraph) -> list[tuple]:
     rows = [("full", *astuple(full))]
     if core.node_count >= 2:
         rows.append(("core", *astuple(full if core is g else metrics.summarize(core))))
-    return rows
+    return render(metrics.SUMMARY_COLUMNS, rows, fmt)
+
+
+def _centrality_report(table: centrality.CentralityTable, fmt: str) -> str:
+    return render(centrality.CENTRALITY_COLUMNS, centrality.centrality_rows(table), fmt)
+
+
+def _rank_report(ranked: list[ranking.RankRecord], fmt: str) -> str:
+    return render(ranking.RANK_COLUMNS, [astuple(r) for r in ranked], fmt)
 
 
 def _correlation_report(matrix: ranking.CorrelationMatrix, fmt: str) -> str:
@@ -78,26 +94,26 @@ def _correlation_report(matrix: ranking.CorrelationMatrix, fmt: str) -> str:
     return render(*ranking.correlation_table(matrix), fmt)
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    g = _read_graph(Path(args.input))
-    rows = _summary_rows(g, largest_core(g))
-    _emit(render(metrics.SUMMARY_COLUMNS, rows, args.format), args.out)
-    return 0
+def _cmd_stats(args: argparse.Namespace) -> None:
+    g = _read_graph(args)
+    _emit(_stats_report(g, largest_core(g), args.format), args.out)
 
 
-def _cmd_centrality(args: argparse.Namespace) -> int:
-    g = _region(_read_graph(Path(args.input)), not args.full_network)
-    table = centrality.full_table(g, tol=args.tol, max_iter=args.max_iter)
-    rows = centrality.centrality_rows(table)
-    _emit(render(centrality.CENTRALITY_COLUMNS, rows, args.format), args.out)
-    return 0
+def _cmd_centrality(args: argparse.Namespace) -> None:
+    table = centrality.full_table(_region(args), tol=args.tol, max_iter=args.max_iter)
+    _emit(_centrality_report(table, args.format), args.out)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    g = _region(_read_graph(Path(args.input)), not args.full_network)
+def _cmd_sweep(args: argparse.Namespace) -> None:
+    full = _read_graph(args)
+    g = full if args.full_network else largest_core(full)
     seed = args.seed_node
     if seed is None:
         seed = max(g.ids, key=g.in_degree)  # ids ascend: the smallest id wins ties
+    elif seed in full and seed not in g:
+        raise ValueError(
+            f"seed {seed} lies outside the largest weak component; --full-network keeps it"
+        )
     traces = diffusion.threshold_sweep(g, seed, args.thetas, args.days)
     # JSON keeps one object per trace; CSV spells out one row per day.
     if args.format == "json":
@@ -105,49 +121,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         text = render(diffusion.DAY_COLUMNS, diffusion.day_rows(traces), "csv")
     _emit(text, args.out)
-    return 0
 
 
-def _rank(
-    g: DirectedGraph, top_k: int, theta: float, max_days: int, tol: float, max_iter: int
-) -> tuple[centrality.CentralityTable, list[ranking.RankRecord]]:
-    """The centrality table, and the ranked cascades of its top-k candidates."""
-    table = centrality.full_table(g, tol=tol, max_iter=max_iter)
-    candidates = ranking.select_candidates(table, top_k)
-    config = diffusion.DiffusionConfig(theta=theta, max_days=max_days)
-    return table, ranking.rank_candidates(g, candidates, config, table)
+def _cmd_rank(args: argparse.Namespace) -> None:
+    _emit(_rank_report(_rank(_region(args), args)[1], args.format), args.out)
 
 
-def _ranked_records(args: argparse.Namespace) -> list[ranking.RankRecord]:
-    g = _region(_read_graph(Path(args.input)), not args.full_network)
-    return _rank(g, args.k, args.theta, args.days, args.tol, args.max_iter)[1]
-
-
-def _cmd_rank(args: argparse.Namespace) -> int:
-    rows = [astuple(r) for r in _ranked_records(args)]
-    _emit(render(ranking.RANK_COLUMNS, rows, args.format), args.out)
-    return 0
-
-
-def _cmd_correlate(args: argparse.Namespace) -> int:
-    matrix = ranking.correlation_matrix(_ranked_records(args))
+def _cmd_correlate(args: argparse.Namespace) -> None:
+    matrix = ranking.correlation_matrix(_rank(_region(args), args)[1])
     _emit(_correlation_report(matrix, args.format), args.out)
-    return 0
 
 
-def _cmd_baseline(args: argparse.Namespace) -> int:
-    g = _read_graph(Path(args.input))
+def _cmd_baseline(args: argparse.Namespace) -> None:
+    g = _read_graph(args)
     actual = metrics.summarize(g)
     rows = [("actual", *astuple(actual))]
     verdicts = []
-    ps = args.p if args.p else [0.05, 0.10]
-    for idx, p in enumerate(ps):
+    k = args.ws_k if args.model == "watts_strogatz" else None
+    for idx, p in enumerate(args.p or [0.05, 0.10]):
         spec = baselines.RandomGraphSpec(
-            model=args.model,
-            n=g.node_count,
-            p=p,
-            rng_seed=args.seed + idx,
-            k=args.ws_k if args.model == "watts_strogatz" else None,
+            model=args.model, n=g.node_count, p=p, rng_seed=args.seed + idx, k=k
         )
         label = f"{spec.model}_p{p:g}"
         base = metrics.summarize(baselines.generate(spec))
@@ -159,12 +152,8 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
             verdicts.append((label, None, None, None, None))
             continue
         verdicts.append((label, *astuple(verdict)))
-        log.info(
-            "sigma vs %s: %.6f (%s)",
-            label,
-            verdict.sigma,
-            "small-world" if verdict.is_small_world else "not small-world",
-        )
+        kind = "small-world" if verdict.is_small_world else "not small-world"
+        log.info("sigma vs %s: %.6f (%s)", label, verdict.sigma, kind)
     if args.format == "json":
         text = dump_json({
             "summaries": records(metrics.SUMMARY_COLUMNS, rows),
@@ -173,67 +162,38 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     else:
         text = render(metrics.SUMMARY_COLUMNS, rows, "csv")
     _emit(text, args.out)
-    return 0
 
 
-def _cmd_export(args: argparse.Namespace) -> int:
-    g = _read_graph(Path(args.input))
-    if args.core:
-        g = largest_core(g)
-    _emit(export.export_graph(g, args.format), args.out)
-    return 0
+def _cmd_export(args: argparse.Namespace) -> None:
+    g = _read_graph(args)
+    _emit(export.export_graph(largest_core(g) if args.core else g, args.format), args.out)
 
 
-def run_pipeline(config: PipelineConfig) -> ranking.Recommendation:
+def _cmd_pipeline(args: argparse.Namespace) -> None:
     """Execute the full analysis and write the report directory.
 
     Everything is computed before anything is written, so a failure never
     leaves a half-finished report behind.
     """
-    g = _read_graph(config.input_path)
+    g = _read_graph(args)
     core = largest_core(g)
-    summary_rows = _summary_rows(g, core)
-    region = core if config.use_core else g
-    table, records = _rank(
-        region, config.top_k, config.theta, config.max_days, config.tol, config.max_iter
-    )
-    matrix = ranking.correlation_matrix(records)
-    rec = ranking.recommend(records)
-
-    fmt = config.output_format
+    fmt = args.format
+    summary = _stats_report(g, core, fmt)
+    table, ranked = _rank(g if args.full_network else core, args)
+    matrix = ranking.correlation_matrix(ranked)
+    rec = ranking.recommend(ranked)
     files = {
-        f"summary.{fmt}": render(metrics.SUMMARY_COLUMNS, summary_rows, fmt),
-        f"centrality.{fmt}": render(
-            centrality.CENTRALITY_COLUMNS, centrality.centrality_rows(table), fmt
-        ),
-        f"rank.{fmt}": render(ranking.RANK_COLUMNS, [astuple(r) for r in records], fmt),
+        f"summary.{fmt}": summary,
+        f"centrality.{fmt}": _centrality_report(table, fmt),
+        f"rank.{fmt}": _rank_report(ranked, fmt),
         f"correlation.{fmt}": _correlation_report(matrix, fmt),
         "recommendation.json": ranking.recommendation_json(rec),
     }
-
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
-        (config.out_dir / name).write_text(text, encoding="utf-8")
-    log.info(
-        "recommended node %d (score %.6f); report in %s", rec.node, rec.score, config.out_dir
-    )
-    return rec
-
-
-def _cmd_pipeline(args: argparse.Namespace) -> int:
-    config = PipelineConfig(
-        input_path=Path(args.input),
-        theta=args.theta,
-        max_days=args.days,
-        top_k=args.k,
-        use_core=not args.full_network,
-        output_format=args.format,
-        out_dir=Path(args.out),
-        tol=args.tol,
-        max_iter=args.max_iter,
-    )
-    run_pipeline(config)
-    return 0
+        (out / name).write_text(text, encoding="utf-8")
+    log.info("recommended node %d (score %.6f); report in %s", rec.node, rec.score, out)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -379,9 +339,17 @@ def main(argv: list[str] | None = None) -> int:
     pkg.setLevel(logging.INFO)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        args.func(args)
+        return 0
     except SystemExit as exc:  # argparse: --help, or a usage error
         return int(exc.code or 0)
+    except BrokenPipeError:
+        # The reader is gone: say nothing.  As the signal module's docs advise,
+        # stdout goes to devnull so the flush at interpreter exit cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a process the signal killed
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

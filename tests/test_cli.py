@@ -91,14 +91,19 @@ def test_help_exits_0(capsys):
     assert "pipeline" in capsys.readouterr().out
 
 
-def test_python_m_influnet_runs_the_cli():
+def _child_env() -> dict[str, str]:
+    """This environment, with the tested package first on the path."""
     src = str(Path(influnet.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_python_m_influnet_runs_the_cli():
     proc = subprocess.run(
         [sys.executable, "-m", "influnet", "--help"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
         timeout=60,
     )
     assert proc.returncode == 0
@@ -491,3 +496,63 @@ def test_pipeline_failure_leaves_no_partial_report(tmp_path, capsys):
     ])
     assert rc == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("region", [[], ["--full-network"]])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_pipeline_files_are_the_subcommand_reports(fmt, region, tmp_path, capsys):
+    def stdout(command: str, *flags: str) -> str:
+        assert main([command, "--input", str(FIXTURE), "--format", fmt, *flags]) == 0
+        return capsys.readouterr().out
+
+    out = tmp_path / "report"
+    assert main(["pipeline", "--input", str(FIXTURE), "--format", fmt, *region,
+                 "--out", str(out)]) == 0
+    # stats takes no region flag: its full and core rows cover both.
+    assert (out / f"summary.{fmt}").read_text(encoding="utf-8") == stdout("stats")
+    for stem, command in [("centrality", "centrality"), ("rank", "rank"),
+                          ("correlation", "correlate")]:
+        text = (out / f"{stem}.{fmt}").read_text(encoding="utf-8")
+        assert text == stdout(command, *region), stem
+    rank = (out / f"rank.{fmt}").read_text(encoding="utf-8")
+    first = json.loads(rank)[0]["node"] if fmt == "json" else int(read_csv(rank)[1][0])
+    rec = json.loads((out / "recommendation.json").read_text(encoding="utf-8"))
+    assert rec["node"] == first
+
+
+@pytest.mark.parametrize("region", [[], ["--full-network"]])
+def test_sweep_absent_seed_exits_2(region, capsys):
+    assert main(["sweep", "--input", str(FIXTURE), "--seed-node", "99", *region]) == 2
+    assert capsys.readouterr().err.endswith("error: seed 99 is not a node of the graph\n")
+
+
+def test_sweep_seed_outside_the_core_names_full_network(capsys):
+    # Node 9 is in the input, in a weak component apart from the core.
+    argv = ["sweep", "--input", str(FIXTURE), "--seed-node", "9"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "seed 9 lies outside the largest weak component" in err
+    assert "--full-network keeps it" in err
+    assert main([*argv, "--full-network"]) == 0
+    assert {r[0] for r in read_csv(capsys.readouterr().out)[1:]} == {"9"}
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize("argv", [["stats"], ["export", "--format", "graphml"]])
+def test_closed_stdout_exits_141_quietly(argv, buffered):
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes a byte
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "influnet", *argv, "--input", str(FIXTURE)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    for marker in ("error:", "Traceback", "Exception ignored"):
+        assert marker not in proc.stderr
