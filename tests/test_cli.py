@@ -184,7 +184,9 @@ def test_bad_flag_value_exits_1_before_reading_input(argv, flag, capsys):
     ["stats", "centrality", "sweep", "rank", "correlate", "baseline", "export", "pipeline"],
 )
 def test_threads_flag_only_where_work_is_parallel(command, tmp_path, capsys):
-    # No stage runs in parallel, so no subcommand takes a thread count.
+    # Betweenness on a large graph shares its sources among forked
+    # processes, one per usable CPU, but that split has no knob: no
+    # subcommand takes a thread or process count.
     argv = [command, "--input", str(FIXTURE), "--threads", "2"]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     assert "--threads" in capsys.readouterr().err
