@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import io
 import logging
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, KeysView, TextIO
 
@@ -39,29 +41,32 @@ class DirectedGraph:
         nodes: Iterable[int] = (),
         directed: bool = True,
     ) -> None:
-        arcs: set[tuple[int, int]] = set()
         node_set: set[int] = set()
         for n in nodes:
             _check_node(n)
             node_set.add(n)
+        # The targets of each source id, repeats included until the sort below.
+        succ: defaultdict[int, list[int]] = defaultdict(list)
         for i, j in edges:
-            _check_node(i)
-            _check_node(j)
+            # A plain non-negative int is valid; anything else (a bool, a
+            # float, an int subclass) gets the full check, so True is still
+            # rejected after a valid arc from 1 has made 1 a key.
+            if not (type(i) is int and i >= 0):
+                _check_node(i)
+            if not (type(j) is int and j >= 0):
+                _check_node(j)
             if i == j:
                 raise ValueError(f"self-loop on node {i}")
-            arcs.add((i, j))
+            succ[i].append(j)
             if not directed:
-                arcs.add((j, i))
-            node_set.add(i)
-            node_set.add(j)
+                succ[j].append(i)
+        node_set.update(succ, *succ.values())
         ids = sorted(node_set)
         pos = {v: k for k, v in enumerate(ids)}
-        out: list[list[int]] = [[] for _ in ids]
-        for i, j in arcs:
-            out[pos[i]].append(pos[j])
-        for targets in out:
-            targets.sort()
-        self._set_index(tuple(ids), tuple(map(tuple, out)), directed)
+        out: list[tuple[int, ...]] = [()] * len(ids)
+        for i, targets in succ.items():
+            out[pos[i]] = tuple(map(pos.__getitem__, sorted(set(targets))))
+        self._set_index(tuple(ids), tuple(out), directed)
 
     def _set_index(
         self, ids: tuple[int, ...], out: tuple[tuple[int, ...], ...], directed: bool
@@ -179,20 +184,11 @@ def ingest_edge_csv(source: str | TextIO | Iterable[str]) -> IngestResult:
     Malformed rows raise :class:`EdgeListParseError` with the offending
     line number.
     """
-    if isinstance(source, str):
-        lines: Iterable[str] = io.StringIO(source)
-    else:
-        lines = source
-    edges: list[tuple[int, int]] = []
-    loops = 0
-    header_seen = False
+    lines = iter(io.StringIO(source) if isinstance(source, str) else source)
     line_no = 0
     for line_no, raw in enumerate(lines, start=1):
         row = raw.strip()
-        if not row:
-            continue
-        if not header_seen:
-            header_seen = True
+        if row:
             # A UTF-8 byte-order mark would otherwise make a first edge
             # read as a header.
             row = row.removeprefix("\ufeff")
@@ -200,29 +196,25 @@ def ingest_edge_csv(source: str | TextIO | Iterable[str]) -> IngestResult:
                 raise EdgeListParseError(
                     f"missing header row; first row {row!r} is an edge", line_no
                 )
-            continue
-        parts = row.split(",")
-        if len(parts) != 2:
-            raise EdgeListParseError(
-                f"expected 2 comma-separated fields, got {len(parts)}", line_no
-            )
-        a = parts[0].strip()
-        b = parts[1].strip()
-        # int() alone would also read "+3", "1_0" and non-ASCII digits.
-        if not (row.isascii() and a.isdigit() and b.isdigit()):
-            if row.isascii() and all(t.removeprefix("-").isdigit() for t in (a, b)):
-                raise EdgeListParseError(f"negative node id in {row!r}", line_no)
-            raise EdgeListParseError(
-                f"node ids must be decimal digits, got {row!r}", line_no
-            )
+            break
+    else:
+        raise EdgeListParseError("missing header row", max(line_no, 1))
+    edges: list[tuple[int, int]] = []
+    loops = 0
+    for line_no, raw in enumerate(lines, start=line_no + 1):
+        row = raw.strip()
+        a, _, b = row.partition(",")
+        # The common row, plain digits on both sides; _fields judges the rest.
+        if not (a.isdigit() and b.isdigit() and row.isascii()):
+            if not row:
+                continue
+            a, b = _fields(row, line_no)
         i = int(a)
         j = int(b)
         if i == j:
             loops += 1
             continue
         edges.append((i, j))
-    if not header_seen:
-        raise EdgeListParseError("missing header row", max(line_no, 1))
     # The constructor drops repeated arcs; the graph is directed, so each
     # dropped row is one arc fewer.
     graph = DirectedGraph(edges)
@@ -232,6 +224,25 @@ def ingest_edge_csv(source: str | TextIO | Iterable[str]) -> IngestResult:
     if dupes:
         log.warning("dropped %d duplicate row(s)", dupes)
     return IngestResult(graph, loops, dupes)
+
+
+def _fields(row: str, line_no: int) -> tuple[str, str]:
+    """The two id fields of a stripped, non-blank row, or the reason it is malformed."""
+    parts = row.split(",")
+    if len(parts) != 2:
+        raise EdgeListParseError(
+            f"expected 2 comma-separated fields, got {len(parts)}", line_no
+        )
+    a = parts[0].strip()
+    b = parts[1].strip()
+    # int() alone would also read "+3", "1_0" and non-ASCII digits.
+    if not (row.isascii() and a.isdigit() and b.isdigit()):
+        if row.isascii() and all(t.removeprefix("-").isdigit() for t in (a, b)):
+            raise EdgeListParseError(f"negative node id in {row!r}", line_no)
+        raise EdgeListParseError(
+            f"node ids must be decimal digits, got {row!r}", line_no
+        )
+    return a, b
 
 
 def _is_edge_row(row: str) -> bool:
@@ -256,9 +267,15 @@ def to_edge_csv(g: DirectedGraph) -> str:
 
     Rows are sorted, so equal graphs serialize to identical bytes.
     """
-    out = [EDGE_CSV_HEADER]
-    out.extend(f"{i},{j}" for i, j in g.edges())
-    return "\n".join(out) + "\n"
+    names = list(map(str, g.ids))
+    rows = [EDGE_CSV_HEADER]
+    for p, targets in enumerate(g.out):
+        if not g.directed:
+            # One row per unordered pair: only the targets after p.
+            targets = targets[bisect_right(targets, p):]
+        head = names[p] + ","
+        rows += [head + names[q] for q in targets]
+    return "\n".join(rows) + "\n"
 
 
 def _components(g: DirectedGraph) -> list[list[int]]:
@@ -290,8 +307,10 @@ def weakly_connected_components(g: DirectedGraph) -> list[frozenset[int]]:
 
 def _restrict(g: DirectedGraph, kept: list[int]) -> DirectedGraph:
     """The subgraph induced on the sorted positions ``kept``, re-indexed in place of a rebuild."""
-    remap = {p: k for k, p in enumerate(kept)}
-    out = tuple(tuple(remap[q] for q in g.out[p] if q in remap) for p in kept)
+    remap = [-1] * g.node_count
+    for k, p in enumerate(kept):
+        remap[p] = k
+    out = tuple(tuple([r for q in g.out[p] if (r := remap[q]) >= 0]) for p in kept)
     core = DirectedGraph.__new__(DirectedGraph)
     core._set_index(tuple(g.ids[p] for p in kept), out, g.directed)
     return core

@@ -83,6 +83,33 @@ def fw_path_stats(g: DirectedGraph) -> tuple[float, int]:
     return total / len(dists), max(dists.values())
 
 
+def oracle_index(edges, nodes=(), directed: bool = True):
+    """``(ids, pos, out, inc, edge_count)`` as the graph constructor should build them.
+
+    Arcs go into one set of (i, j) tuples, every source's targets are
+    sorted separately, and ``inc`` is found by scanning every ``out`` list.
+    """
+    arcs: set[tuple[int, int]] = set()
+    node_set = set(nodes)
+    for i, j in edges:
+        arcs.add((i, j))
+        if not directed:
+            arcs.add((j, i))
+        node_set.update((i, j))
+    ids = tuple(sorted(node_set))
+    pos = {v: k for k, v in enumerate(ids)}
+    out: list[list[int]] = [[] for _ in ids]
+    for i, j in arcs:
+        out[pos[i]].append(pos[j])
+    for targets in out:
+        targets.sort()
+    inc = tuple(
+        tuple(p for p in range(len(ids)) if q in out[p]) for q in range(len(ids))
+    )
+    edge_count = len(arcs) if directed else len(arcs) // 2
+    return ids, pos, tuple(map(tuple, out)), inc, edge_count
+
+
 def oracle_clustering(g: DirectedGraph) -> dict[int, float]:
     """Per-node coefficients by explicitly testing every neighbor pair."""
     nbrs = {

@@ -98,6 +98,42 @@ def test_parse_tolerates_whitespace_and_blank_lines():
     assert sorted(g.edges()) == [(1, 2), (3, 4)]
 
 
+ACCEPTED_ROWS = [
+    (" 1 , 2 ", (1, 2)),
+    ("\t1\t,\t2\t", (1, 2)),
+    ("1,2\r", (1, 2)),
+    ("007,8", (7, 8)),
+    ("7,07", None),  # 7 -> 7: a self-loop, dropped and counted
+]
+
+
+@pytest.mark.parametrize(("row", "arc"), ACCEPTED_ROWS)
+def test_parse_row_accepted(row, arc):
+    # Blank lines and CRLF endings around the row change nothing.
+    result = ingest_edge_csv(f"i,j\r\n\r\n{row}\r\n\n  \n")
+    assert list(result.graph.edges()) == ([arc] if arc else [])
+    assert result.self_loops_dropped == (0 if arc else 1)
+
+
+REJECTED_ROWS = [
+    ("1,2,3", "expected 2 comma-separated fields, got 3"),
+    ("1,", "node ids must be decimal digits, got '1,'"),
+    (",2", "node ids must be decimal digits, got ',2'"),
+    ("-1,2", "negative node id in '-1,2'"),
+    ("+1,2", "node ids must be decimal digits, got '+1,2'"),
+    ("1_0,2", "node ids must be decimal digits, got '1_0,2'"),
+    ("١,2", "node ids must be decimal digits, got '١,2'"),
+]
+
+
+@pytest.mark.parametrize(("row", "message"), REJECTED_ROWS)
+def test_parse_row_rejected(row, message):
+    with pytest.raises(EdgeListParseError) as err:
+        parse_edge_csv(f"i,j\n1,2\n\n{row}\n2,3\n")
+    assert err.value.line_no == 4
+    assert str(err.value) == f"line 4: {message}"
+
+
 def test_construction_rejects_self_loop():
     with pytest.raises(ValueError, match="self-loop"):
         DirectedGraph([(1, 1)])
@@ -112,6 +148,26 @@ def test_construction_rejects_bad_ids():
     for bad in ((True, 2), (1, False), (1.0, 2), (1, 2.0)):
         with pytest.raises(ValueError):
             DirectedGraph([(1, 2), bad])  # type: ignore[list-item]
+    # True and 1.0 equal the valid id 1, which comes first in every case.
+    for directed in (True, False):
+        for bad in (True, 1.0, -1):
+            for edges, nodes in (
+                ([(1, 2), (bad, 2)], ()),  # source
+                ([(2, 1), (2, bad)], ()),  # target
+                ([(1, 2)], (1, bad)),  # isolated node
+            ):
+                with pytest.raises(ValueError, match="non-negative integers"):
+                    DirectedGraph(edges, nodes=nodes, directed=directed)
+
+
+def test_construction_accepts_int_subclass():
+    class Id(int):
+        pass
+
+    for directed in (True, False):
+        g = DirectedGraph([(Id(1), Id(2))], nodes=[Id(3)], directed=directed)
+        assert g.ids == (1, 2, 3)
+        assert g.has_edge(1, 2)
 
 
 def test_undirected_graph_symmetrizes():

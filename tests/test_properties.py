@@ -19,11 +19,15 @@ from influnet import (  # noqa: E402
     summarize,
     to_edge_csv,
 )
+from helpers import oracle_index  # noqa: E402
 
 PROPERTY = settings(max_examples=50, derandomize=True, deadline=None, database=None)
 
 ids = st.integers(0, 10**6)
 arc_sets = st.sets(st.tuples(ids, ids).filter(lambda a: a[0] != a[1]), max_size=30)
+# Few distinct ids, so arcs repeat, reverse one another and share endpoints.
+few_ids = st.integers(0, 12)
+arc_lists = st.lists(st.tuples(few_ids, few_ids).filter(lambda a: a[0] != a[1]), max_size=40)
 
 
 @st.composite
@@ -81,6 +85,13 @@ def test_index_is_sorted_and_mirrored(arcs, isolated, directed):
 
 
 @PROPERTY
+@given(arc_lists, st.lists(st.integers(0, 20), max_size=6), st.booleans())
+def test_index_equals_the_oracle(arcs, nodes, directed):
+    g = DirectedGraph(arcs, nodes=nodes, directed=directed)
+    assert (g.ids, g.pos, g.out, g.inc, g.edge_count) == oracle_index(arcs, nodes, directed)
+
+
+@PROPERTY
 @given(st.integers(2, 40), st.floats(0.0, 1.0), st.integers(0, 2**64))
 def test_gnp_random_builds_the_constructors_index(n, p, seed):
     g = gnp_random(n, p, seed)
@@ -110,6 +121,26 @@ def test_edges_are_the_sorted_input_arcs(arcs, directed):
 def test_edge_csv_round_trips(arcs):
     g = DirectedGraph(arcs)  # every node is an arc end, so none is isolated
     assert parse_edge_csv(to_edge_csv(g)) == g
+
+
+@PROPERTY
+@given(arc_lists, st.lists(few_ids, max_size=4), st.booleans())
+def test_edge_csv_is_the_edge_rows(arcs, nodes, directed):
+    g = DirectedGraph(arcs, nodes=nodes, directed=directed)
+    assert to_edge_csv(g) == "i,j\n" + "".join(f"{i},{j}\n" for i, j in g.edges())
+
+
+@PROPERTY
+@given(arc_lists, st.lists(few_ids, max_size=4), st.booleans(), st.data())
+def test_induced_subgraph_on_a_cut_keep_set(arcs, nodes, directed, data):
+    g = DirectedGraph(arcs, nodes=nodes, directed=directed)
+    keep = data.draw(st.sets(st.sampled_from(g.ids))) if g.ids else set()
+    sub = induced_subgraph(g, keep)
+    ref = DirectedGraph(
+        [(i, j) for i, j in arcs if i in keep and j in keep], nodes=keep, directed=directed
+    )
+    assert (sub.ids, sub.pos, sub.out, sub.inc) == (ref.ids, ref.pos, ref.out, ref.inc)
+    assert sub.edge_count == ref.edge_count
 
 
 # caplog is shared by the examples, so each one clears it first.
