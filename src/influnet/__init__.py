@@ -52,10 +52,8 @@ from .ranking import (
     correlation_matrix,
     rank_candidates,
     recommend,
-    recommendation_json,
     select_candidates,
 )
-from .table import render
 
 __version__ = "0.1.0"
 
@@ -93,8 +91,6 @@ __all__ = [
     "parse_edge_csv",
     "rank_candidates",
     "recommend",
-    "recommendation_json",
-    "render",
     "select_candidates",
     "small_world_sigma",
     "spreading_capacity",

@@ -270,12 +270,17 @@ def eigenvector_centrality(
     exact eigenvector for eigenvalue 0 (A x = 0).  From the uniform start
     it scores each account by the number of longest follow chains (of the
     graph's maximum length) that end at it, so on the chain 1->2->3->4 all
-    weight lands on 4, the account at the top of the chain.
+    weight lands on 4, the account at the top of the chain.  Plain
+    iteration reaches zero within n steps, so on such a graph the cap is
+    raised to n + 1 when ``max_iter`` is smaller: a chain of any length
+    settles.
     """
     if g.node_count == 0:
         raise ValueError("empty graph")
     ids = g.ids
     n = len(ids)
+    if not shifted and _acyclic(g):
+        max_iter = max(max_iter, n + 1)
     followers = tuple(f + (k,) for k, f in enumerate(g.inc)) if shifted else g.inc
     x = [1.0 / math.sqrt(n)] * n
     residual = math.inf
@@ -297,6 +302,18 @@ def eigenvector_centrality(
         iterate=dict(zip(ids, x)),
         residual=residual,
     )
+
+
+def _acyclic(g: DirectedGraph) -> bool:
+    """Whether ``g`` has no directed cycle: one Kahn pass, O(n + m)."""
+    indegree = [len(f) for f in g.inc]
+    ready = [v for v, d in enumerate(indegree) if d == 0]
+    for v in ready:  # ready grows while it is walked
+        for w in g.out[v]:
+            indegree[w] -= 1
+            if indegree[w] == 0:
+                ready.append(w)
+    return len(ready) == g.node_count
 
 
 def full_table(
@@ -331,21 +348,3 @@ def top_k(table: CentralityTable, measure: str, k: int) -> list[int]:
     col = getattr(table, measure)
     ranked = sorted(col, key=lambda v: (-col[v], v))
     return ranked[:k]
-
-
-CENTRALITY_COLUMNS = (
-    ("node", False),
-    ("in_degree", False),
-    ("out_degree", False),
-    ("betweenness", True),
-    ("eigenvector", True),
-)
-
-
-def centrality_rows(table: CentralityTable) -> list[tuple]:
-    """One row per node, sorted by in-degree then node id."""
-    ind = table.in_degree
-    return [
-        (v, ind[v], table.out_degree[v], table.betweenness[v], table.eigenvector[v])
-        for v in sorted(ind, key=lambda v: (-ind[v], v))
-    ]

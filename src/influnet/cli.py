@@ -2,14 +2,14 @@
 
 Every subcommand reads the same two-column follow CSV and writes one
 report to stdout or a file; ``pipeline`` chains the whole analysis and
-writes a report directory.  Table reports are rendered by
-:func:`influnet.table.render` from the column spec of the module that
-computes them, so ``--format`` picks CSV or JSON for all of them alike.
+writes a report directory.  Every report's text comes from one function
+of :mod:`influnet.report`, which holds the columns and the CSV and JSON
+rules, so ``--format`` picks CSV or JSON for all of them alike.
 
 Each subcommand has one handler, ``_cmd_<name>(args)``, which reads its
 flags, computes, and writes its report.  ``pipeline`` writes the texts
 that ``stats``, ``centrality``, ``rank`` and ``correlate`` print for the
-same flags, from the same ``_*_report`` functions, plus
+same flags, from the same ``report`` functions, plus
 ``recommendation.json``.
 
 Exit codes: 0 success, 1 usage error (including a flag value out of
@@ -26,14 +26,12 @@ import logging
 import math
 import os
 import sys
-from dataclasses import astuple
 from pathlib import Path
 from typing import Any, Callable
 
-from . import baselines, centrality, diffusion, export, metrics, ranking
+from . import baselines, centrality, diffusion, export, metrics, ranking, report
 from .errors import ConvergenceError, EdgeListParseError
 from .graph import DirectedGraph, ingest_edge_csv, largest_core
-from .table import dump_json, records, render
 
 log = logging.getLogger("influnet.cli")  # not __name__, "__main__" under python -m
 
@@ -74,24 +72,10 @@ def _stats_report(g: DirectedGraph, core: DirectedGraph, fmt: str) -> str:
     all-pairs sweep runs once.
     """
     full = metrics.summarize(g)
-    rows = [("full", *astuple(full))]
+    rows = [("full", full)]
     if core.node_count >= 2:
-        rows.append(("core", *astuple(full if core is g else metrics.summarize(core))))
-    return render(metrics.SUMMARY_COLUMNS, rows, fmt)
-
-
-def _centrality_report(table: centrality.CentralityTable, fmt: str) -> str:
-    return render(centrality.CENTRALITY_COLUMNS, centrality.centrality_rows(table), fmt)
-
-
-def _rank_report(ranked: list[ranking.RankRecord], fmt: str) -> str:
-    return render(ranking.RANK_COLUMNS, [astuple(r) for r in ranked], fmt)
-
-
-def _correlation_report(matrix: ranking.CorrelationMatrix, fmt: str) -> str:
-    if fmt == "json":
-        return ranking.correlation_json(matrix)
-    return render(*ranking.correlation_table(matrix), fmt)
+        rows.append(("core", full if core is g else metrics.summarize(core)))
+    return report.summary(rows, fmt)
 
 
 def _cmd_stats(args: argparse.Namespace) -> None:
@@ -101,7 +85,7 @@ def _cmd_stats(args: argparse.Namespace) -> None:
 
 def _cmd_centrality(args: argparse.Namespace) -> None:
     table = centrality.full_table(_region(args), tol=args.tol, max_iter=args.max_iter)
-    _emit(_centrality_report(table, args.format), args.out)
+    _emit(report.centrality(table, args.format), args.out)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
@@ -115,27 +99,22 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
             f"seed {seed} lies outside the largest weak component; --full-network keeps it"
         )
     traces = diffusion.threshold_sweep(g, seed, args.thetas, args.days)
-    # JSON keeps one object per trace; CSV spells out one row per day.
-    if args.format == "json":
-        text = render(diffusion.TRACE_COLUMNS, diffusion.trace_rows(traces), "json")
-    else:
-        text = render(diffusion.DAY_COLUMNS, diffusion.day_rows(traces), "csv")
-    _emit(text, args.out)
+    _emit(report.sweep(traces, args.format), args.out)
 
 
 def _cmd_rank(args: argparse.Namespace) -> None:
-    _emit(_rank_report(_rank(_region(args), args)[1], args.format), args.out)
+    _emit(report.rank(_rank(_region(args), args)[1], args.format), args.out)
 
 
 def _cmd_correlate(args: argparse.Namespace) -> None:
     matrix = ranking.correlation_matrix(_rank(_region(args), args)[1])
-    _emit(_correlation_report(matrix, args.format), args.out)
+    _emit(report.correlation(matrix, args.format), args.out)
 
 
 def _cmd_baseline(args: argparse.Namespace) -> None:
     g = _read_graph(args)
     actual = metrics.summarize(g)
-    rows = [("actual", *astuple(actual))]
+    rows = [("actual", actual)]
     verdicts = []
     k = args.ws_k if args.model == "watts_strogatz" else None
     for idx, p in enumerate(args.p or [0.05, 0.10]):
@@ -144,24 +123,17 @@ def _cmd_baseline(args: argparse.Namespace) -> None:
         )
         label = f"{spec.model}_p{p:g}"
         base = metrics.summarize(baselines.generate(spec))
-        rows.append((label, *astuple(base)))
+        rows.append((label, base))
         try:
             verdict = metrics.small_world_sigma(actual, base)
         except ValueError as exc:
             log.warning("sigma vs %s is undefined: %s", label, exc)
-            verdicts.append((label, None, None, None, None))
+            verdicts.append((label, None))
             continue
-        verdicts.append((label, *astuple(verdict)))
+        verdicts.append((label, verdict))
         kind = "small-world" if verdict.is_small_world else "not small-world"
         log.info("sigma vs %s: %.6f (%s)", label, verdict.sigma, kind)
-    if args.format == "json":
-        text = dump_json({
-            "summaries": records(metrics.SUMMARY_COLUMNS, rows),
-            "verdicts": records(metrics.VERDICT_COLUMNS, verdicts),
-        })
-    else:
-        text = render(metrics.SUMMARY_COLUMNS, rows, "csv")
-    _emit(text, args.out)
+    _emit(report.baseline(rows, verdicts, args.format), args.out)
 
 
 def _cmd_export(args: argparse.Namespace) -> None:
@@ -184,10 +156,10 @@ def _cmd_pipeline(args: argparse.Namespace) -> None:
     rec = ranking.recommend(ranked)
     files = {
         f"summary.{fmt}": summary,
-        f"centrality.{fmt}": _centrality_report(table, fmt),
-        f"rank.{fmt}": _rank_report(ranked, fmt),
-        f"correlation.{fmt}": _correlation_report(matrix, fmt),
-        "recommendation.json": ranking.recommendation_json(rec),
+        f"centrality.{fmt}": report.centrality(table, fmt),
+        f"rank.{fmt}": report.rank(ranked, fmt),
+        f"correlation.{fmt}": report.correlation(matrix, fmt),
+        "recommendation.json": report.recommendation(rec),
     }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

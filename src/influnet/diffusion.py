@@ -132,47 +132,3 @@ def threshold_sweep(
         linear_threshold_run(g, seed, DiffusionConfig(theta=t, max_days=max_days))
         for t in thetas
     ]
-
-
-DAY_COLUMNS = (
-    ("seed", False),
-    ("theta", True),
-    ("day", False),
-    ("active_count", False),
-    ("proportion", True),
-)
-
-TRACE_COLUMNS = (
-    ("seed", False),
-    ("theta", True),
-    ("active_counts", False),
-    ("population", False),
-    ("saturation_day", False),
-    ("proportion_reached", True),
-    ("score", True),
-)
-
-
-def day_rows(traces: Iterable[DiffusionTrace]) -> list[tuple]:
-    """One row per simulated day, traces in the order given."""
-    return [
-        (tr.seed, tr.theta, day, count, count / tr.population)
-        for tr in traces
-        for day, count in enumerate(tr.active_counts)
-    ]
-
-
-def trace_rows(traces: Iterable[DiffusionTrace]) -> list[tuple]:
-    """One row per trace, with its whole active-count history."""
-    return [
-        (
-            tr.seed,
-            tr.theta,
-            list(tr.active_counts),
-            tr.population,
-            tr.saturation_day,
-            tr.proportion_reached,
-            spreading_capacity(tr),
-        )
-        for tr in traces
-    ]

@@ -161,22 +161,3 @@ def small_world_sigma(actual: NetworkSummary, baseline: NetworkSummary) -> Small
         path_length_ratio=l_ratio,
         is_small_world=sigma > 1.0,
     )
-
-
-SUMMARY_COLUMNS = (
-    ("network", False),
-    ("nodes", False),
-    ("edges", False),
-    ("avg_path_length", True),
-    ("avg_clustering", True),
-    ("diameter", False),
-    ("components", False),
-)
-
-VERDICT_COLUMNS = (
-    ("baseline", False),
-    ("sigma", True),
-    ("clustering_ratio", True),
-    ("path_length_ratio", True),
-    ("is_small_world", False),
-)

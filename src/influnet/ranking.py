@@ -10,25 +10,12 @@ structural measures track simulated reach.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 from .centrality import MEASURES, CentralityTable, top_k
 from .diffusion import DiffusionConfig, linear_threshold_run, spreading_score
 from .graph import DirectedGraph
-from .table import dump_json
-
-# The fields of RankRecord in order, so astuple(record) is a row.
-RANK_COLUMNS = (
-    ("node", False),
-    ("in_degree", False),
-    ("out_degree", False),
-    ("eigenvector", True),
-    ("betweenness", True),
-    ("days_required", False),
-    ("proportion_reached", True),
-    ("score", True),
-)
 
 
 @dataclass(frozen=True)
@@ -115,7 +102,7 @@ def recommend(records: Sequence[RankRecord]) -> Recommendation:
         "max_eigenvector": best.eigenvector == max(r.eigenvector for r in ordered),
         "candidates_considered": len(ordered),
         "days_required": best.days_required,
-        "proportion_reached": round(best.proportion_reached, 6),
+        "proportion_reached": best.proportion_reached,
     }
     return Recommendation(node=best.node, score=best.score, rationale=rationale)
 
@@ -153,7 +140,7 @@ def correlation_matrix(records: Sequence[RankRecord]) -> CorrelationMatrix:
     """
     if len(records) < 2:
         raise ValueError("correlation needs at least 2 records")
-    labels = tuple(name for name, _ in RANK_COLUMNS)
+    labels = tuple(f.name for f in fields(RankRecord))
     series = {name: [float(getattr(r, name)) for r in records] for name in labels}
     constant = {name for name, xs in series.items() if min(xs) == max(xs)}
     rows: list[tuple[float | None, ...]] = []
@@ -168,27 +155,3 @@ def correlation_matrix(records: Sequence[RankRecord]) -> CorrelationMatrix:
                 row.append(_pearson(series[a], series[b]))
         rows.append(tuple(row))
     return CorrelationMatrix(labels=labels, values=tuple(rows))
-
-
-def correlation_table(matrix: CorrelationMatrix) -> tuple[tuple, list[tuple]]:
-    """Column spec and rows of a square table, labels down the side and across the top."""
-    columns = (("", False), *((label, True) for label in matrix.labels))
-    return columns, [(label, *row) for label, row in zip(matrix.labels, matrix.values)]
-
-
-def correlation_json(matrix: CorrelationMatrix) -> str:
-    return dump_json({
-        "labels": list(matrix.labels),
-        "values": [
-            [None if v is None else round(v, 6) for v in row]
-            for row in matrix.values
-        ],
-    })
-
-
-def recommendation_json(rec: Recommendation) -> str:
-    return dump_json({
-        "node": rec.node,
-        "score": round(rec.score, 6),
-        "rationale": rec.rationale,
-    })

@@ -15,10 +15,9 @@ from influnet import (
     degree_table,
     eigenvector_centrality,
     full_table,
-    render,
     top_k,
 )
-from influnet.centrality import CENTRALITY_COLUMNS, centrality_rows
+from influnet import report
 from helpers import oracle_betweenness, random_digraph, random_strongly_connected
 
 
@@ -190,6 +189,8 @@ def test_eigenvector_oscillation_raises_with_payload():
 
 ACYCLIC_CORES = {
     "chain": ([(1, 2), (2, 3), (3, 4)], {4: 1.0}),
+    # Longer than the default cap of 1000 steps: the cap rises to n + 1.
+    "chain_1001": ([(v, v + 1) for v in range(1000)], {1000: 1.0}),
     # The longest chains have length 1: two end at node 0, three at node 9.
     "fan_in": (
         [(1, 0), (2, 0), (2, 9), (3, 9), (4, 9)],
@@ -257,7 +258,7 @@ def test_full_table_has_every_column():
 
 def test_centrality_csv_sorted_by_followers():
     g = DirectedGraph([(2, 1), (3, 1), (1, 2), (3, 2)])
-    lines = render(CENTRALITY_COLUMNS, centrality_rows(full_table(g)), "csv").splitlines()
+    lines = report.centrality(full_table(g), "csv").splitlines()
     assert lines[0] == "node,in_degree,out_degree,betweenness,eigenvector"
     assert [row.split(",")[0] for row in lines[1:]] == ["1", "2", "3"]
 

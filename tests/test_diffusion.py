@@ -13,10 +13,9 @@ from influnet import (
     linear_threshold_run,
     spreading_capacity,
     spreading_score,
-    render,
     threshold_sweep,
 )
-from influnet.diffusion import DAY_COLUMNS, day_rows
+from influnet import report
 from helpers import follower_reachable, oracle_cascade, random_digraph
 
 
@@ -171,7 +170,7 @@ def test_sweep_rejects_empty_grid():
 
 def test_trace_csv_layout():
     g = DirectedGraph([(1, 2), (3, 2)])
-    text = render(DAY_COLUMNS, day_rows([run(g, 2, 0.5)]), "csv")
+    text = report.sweep([run(g, 2, 0.5)], "csv")
     lines = text.splitlines()
     assert lines[0] == "seed,theta,day,active_count,proportion"
     assert lines[1] == "2,0.500000,0,1,0.333333"

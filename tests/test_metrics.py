@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import astuple
 
 import pytest
 
@@ -18,12 +17,11 @@ from influnet import (
     local_clustering,
     parse_edge_csv,
     small_world_sigma,
-    render,
     summarize,
     to_edge_csv,
     watts_strogatz,
 )
-from influnet import metrics
+from influnet import metrics, report
 from helpers import fw_distances, fw_path_stats, oracle_clustering, random_digraph
 
 
@@ -237,8 +235,7 @@ def test_sigma_rejects_degenerate_baseline():
 
 
 def test_summary_csv_rendering():
-    rows = [("full", *astuple(NetworkSummary(3, 2, 4 / 3, 0.0, 2, 1)))]
-    text = render(metrics.SUMMARY_COLUMNS, rows, "csv")
+    text = report.summary([("full", NetworkSummary(3, 2, 4 / 3, 0.0, 2, 1))], "csv")
     lines = text.splitlines()
     assert lines[0] == "network,nodes,edges,avg_path_length,avg_clustering,diameter,components"
     assert lines[1] == "full,3,2,1.333333,0.000000,2,1"

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 from influnet import (  # noqa: E402
     ConvergenceError,
     DirectedGraph,
+    eigenvector_centrality,
     full_table,
     gnp_random,
     induced_subgraph,
@@ -19,7 +20,8 @@ from influnet import (  # noqa: E402
     summarize,
     to_edge_csv,
 )
-from helpers import oracle_index  # noqa: E402
+from influnet.centrality import _acyclic  # noqa: E402
+from helpers import fw_distances, oracle_index  # noqa: E402
 
 PROPERTY = settings(max_examples=50, derandomize=True, deadline=None, database=None)
 
@@ -53,6 +55,18 @@ def connected_digraphs(draw, min_nodes: int, max_nodes: int, first_id: int = 0):
         ((first_id + i, first_id + j) for i, j in arcs),
         nodes=range(first_id, first_id + n),
     )
+
+
+@st.composite
+def dags(draw, max_nodes: int = 12) -> DirectedGraph:
+    """Nodes 0..n-1 with arcs running forward in a drawn order of them: no cycle."""
+    n = draw(st.integers(2, max_nodes))
+    order = draw(st.permutations(range(n)))
+    forward = st.integers(0, n - 2).flatmap(
+        lambda i: st.tuples(st.just(i), st.integers(i + 1, n - 1))
+    )
+    arcs = draw(st.sets(forward, max_size=3 * n))
+    return DirectedGraph(((order[i], order[j]) for i, j in arcs), nodes=range(n))
 
 
 def relabel(g: DirectedGraph, mapping: dict[int, int]) -> DirectedGraph:
@@ -199,3 +213,19 @@ def test_smaller_disjoint_component_leaves_core_results_unchanged(data):
     assert (found.ids, found.out, found.inc) == (rebuilt.ids, rebuilt.out, rebuilt.inc)
     assert summarize(found) == summarize(core)
     assert table_or_failure(found) == table_or_failure(core)
+
+
+@PROPERTY
+@given(digraphs())
+def test_acyclic_iff_no_node_reaches_itself(g):
+    dist = fw_distances(g)
+    assert _acyclic(g) == (not any((j, i) in dist for i, j in dist))
+
+
+@PROPERTY
+@given(dags(), st.integers(1, 12))
+def test_eigenvector_on_a_dag_ignores_a_short_cap(g, max_iter):
+    assert _acyclic(g)
+    assert eigenvector_centrality(g, max_iter=max_iter) == eigenvector_centrality(
+        g, max_iter=10**6
+    )

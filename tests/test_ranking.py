@@ -17,14 +17,12 @@ from influnet import (
     full_table,
     rank_candidates,
     recommend,
-    recommendation_json,
-    render,
     select_candidates,
     spreading_score,
 )
-from influnet.ranking import RANK_COLUMNS, correlation_table
+from influnet import report
 
-RANK_LABELS = tuple(name for name, _ in RANK_COLUMNS)
+RANK_LABELS = tuple(name for name, _ in report.RANK_COLUMNS)
 
 
 def make_record(rng: random.Random, node: int) -> RankRecord:
@@ -120,7 +118,7 @@ def test_record_derives_its_score():
 
 
 def test_rank_csv_column_order():
-    assert render(RANK_COLUMNS, [], "csv").splitlines()[0] == (
+    assert report.rank([], "csv").splitlines()[0] == (
         "node,in_degree,out_degree,eigenvector,betweenness,"
         "days_required,proportion_reached,score"
     )
@@ -198,7 +196,7 @@ def test_correlation_csv_labels_and_undefined_cells():
         )
         for i in range(5)
     ]
-    lines = render(*correlation_table(correlation_matrix(records)), "csv").splitlines()
+    lines = report.correlation(correlation_matrix(records), "csv").splitlines()
     assert lines[0] == "," + ",".join(RANK_LABELS)
     assert lines[1].startswith("node,")
     assert "undefined" in lines[2]  # in_degree row is constant
@@ -232,6 +230,6 @@ def test_recommend_rejects_empty():
 def test_recommendation_json_shape():
     rng = random.Random(107)
     rec = recommend([make_record(rng, i) for i in range(5)])
-    payload = json.loads(recommendation_json(rec))
+    payload = json.loads(report.recommendation(rec))
     assert set(payload) == {"node", "score", "rationale"}
     assert payload["node"] == rec.node
