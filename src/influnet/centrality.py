@@ -15,6 +15,10 @@ Betweenness is a sum over sources of each source's dependencies (Brandes
 one per usable CPU.  The workers send back one dependency row per source,
 and the rows are added to the running total in source order, so every
 score is the same float sum, bit for bit, however many processes ran.
+Each source's BFS records its shortest-path DAG, so the backward pass
+walks only the arcs that lie on shortest paths; a source with more
+shortest paths to some node than a float can count takes the same pass
+in ratio form.
 """
 
 from __future__ import annotations
@@ -45,14 +49,21 @@ log = logging.getLogger(__name__)
 MEASURES = ("in_degree", "betweenness", "eigenvector")
 
 # Betweenness deals its sources to forked processes in blocks of _BLOCK,
-# with at least _FORK_WORK units of n * arcs per process.  On a 2-CPU
-# x86-64 host, two processes broke even near n * arcs = 1e6 run back to
-# back, but gave nothing below 4e6 in a fresh CLI process.  A worker's
-# pipe is widened to _PIPE_BYTES where the platform allows, so that the
-# worker can run several blocks ahead of the parent's reads.
+# with at least _FORK_WORK units of n * arcs per process.  On a 2-vCPU
+# x86-64 host (Python 3.11), in fresh `influnet centrality` processes on
+# bench/gen.py graphs, two processes beat one at n * arcs = 7.4e6 (874
+# nodes: 0.48-0.50 s against 0.72-0.81 s, medians of 8 pairs) but gave
+# nothing at 0.8e6, 1.9e6, 4.0e6 or 5.4e6.  A worker's pipe is widened to
+# _PIPE_BYTES where the platform allows, so that the worker can run
+# several blocks ahead of the parent's reads.
 _BLOCK = 8
 _FORK_WORK = 2_000_000
 _PIPE_BYTES = 1 << 20
+
+# A source whose largest shortest-path count reaches _SIGMA_CAP takes the
+# ratio form of the backward pass (_ratio_dependencies): a float holds
+# counts below 2**1024 only.
+_SIGMA_CAP = 1 << 1000
 
 
 @dataclass(frozen=True)
@@ -77,12 +88,16 @@ def betweenness_centrality(g: DirectedGraph) -> dict[int, float]:
     """Fraction of directed shortest paths passing through each node.
 
     Brandes' algorithm with dependencies accumulated in successor form:
-    each source's BFS keeps distances, path counts and visit order only,
-    and the backward pass adds every node's dependency to the running
-    total.  Each node's total is a plain left-to-right float sum of its
-    dependencies over sources in node order, so the result does not depend
-    on the interpreter's ``sum`` implementation, nor on how many processes
-    share the sources (see :func:`_betweenness_acc`).
+    each source's BFS keeps distances, exact integer path counts, visit
+    order and every node's successors on the shortest-path DAG, and the
+    backward pass sums over those successors only, then adds every node's
+    dependency to the running total.  Each node's total is a plain
+    left-to-right float sum of its dependencies over sources in node
+    order, so the result does not depend on the interpreter's ``sum``
+    implementation, nor on how many processes share the sources (see
+    :func:`_betweenness_acc`).  Any number of shortest paths is fine: a
+    source whose path counts reach ``_SIGMA_CAP`` works with ratios of
+    them instead (see :func:`_ratio_dependencies`).
     """
     ids = g.ids
     n = len(ids)
@@ -211,38 +226,72 @@ def _brandes(adj: tuple[tuple[int, ...], ...], sources: Iterable[int],
              rows: Iterable[list[float]]) -> None:
     """Add each source's dependencies into its row, pairing them as ``zip`` does."""
     n = len(adj)
-    # coeff[x] = (1 + delta[x]) / sigma[x]; an entry is read only for a node
-    # one level deeper than the reader in the current source's BFS, and such
-    # a node was written earlier in the same backward pass, so the list is
-    # never reset between sources.
+    # coeff[x] = (1 + delta[x]) / sigma[x]; an entry is read only for a DAG
+    # successor of the reader, and such a node was written earlier in the
+    # same backward pass, so the list is never reset between sources.
     coeff = [0.0] * n
     for s, acc in zip(sources, rows):
-        dist = [-1] * n
+        # A node not reached has distance n, above every reached distance,
+        # so an arc back into the BFS fails the one test dw >= d.
+        dist = [n] * n
         sigma = [0] * n
         dist[s] = 0
         sigma[s] = 1
         order = [s]
+        # succs[i] lists the successors of order[i] on the shortest-path DAG
+        # (the w with dist[w] == dist[v] + 1) in adj order: the arcs the
+        # backward pass needs, in the order a filter over adj would give.
+        # A list is made per reached node only.
+        succs = []
         for v in order:  # order grows while it is walked: a FIFO queue
             d = dist[v] + 1
             sv = sigma[v]
+            succ = []
+            succs.append(succ)
             for w in adj[v]:
                 dw = dist[w]
-                if dw < 0:
-                    dist[w] = d
-                    sigma[w] = sv
-                    order.append(w)
-                elif dw == d:
-                    sigma[w] += sv
-        for w in order[:0:-1]:  # reverse BFS order, source excluded
-            d = dist[w] + 1
-            t = 0.0
-            for x in adj[w]:
-                if dist[x] == d:
-                    t += coeff[x]
+                if dw >= d:
+                    if dw == d:
+                        sigma[w] += sv
+                    else:
+                        dist[w] = d
+                        sigma[w] = sv
+                        order.append(w)
+                    succ.append(w)
+        # float(sigma) overflows from 2**1024 on: such a source takes ratios.
+        if max(sigma) >= _SIGMA_CAP:
+            _ratio_dependencies(order, succs, sigma, acc)
+            continue
+        for w, succ in zip(order[:0:-1], succs[:0:-1]):  # reverse BFS order, source excluded
             sw = sigma[w]
+            if not succ:  # delta is 0.0, and acc[w] + 0.0 == acc[w]
+                coeff[w] = 1.0 / sw
+                continue
+            t = 0.0
+            for x in succ:  # left to right: sum() is compensated from Python 3.12
+                t += coeff[x]
             delta = sw * t
             coeff[w] = (1.0 + delta) / sw
             acc[w] += delta
+
+
+def _ratio_dependencies(order: list[int], succs: list[list[int]], sigma: list[int],
+                        acc: list[float]) -> None:
+    """The backward pass for a source whose path counts a float cannot hold.
+
+    delta[w] is the sum over w's DAG successors x of
+    (sigma[w] / sigma[x]) * (1 + delta[x]).  sigma[x] >= sigma[w], and int
+    / int true division is correctly rounded at any size, so no term
+    overflows and every delta stays below n.
+    """
+    delta = [0.0] * len(sigma)
+    for w, succ in zip(order[:0:-1], succs[:0:-1]):
+        sw = sigma[w]
+        t = 0.0
+        for x in succ:
+            t += sw / sigma[x] * (1.0 + delta[x])
+        delta[w] = t
+        acc[w] += t
 
 
 def eigenvector_centrality(

@@ -3,12 +3,15 @@
 The oracles take the slow obvious route on purpose: distances by
 Floyd-Warshall, betweenness by enumerating every shortest path with exact
 rationals, cascades by rescanning the whole node set each day.  Fast
-implementations are judged against these on seeded corpora.
+implementations are judged against these on seeded corpora.  The Brandes
+kernel that the current one replaced is kept here too, as the reference
+its rows must equal bit for bit.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,6 +53,20 @@ def random_strongly_connected(rng: random.Random, n: int, extra: int) -> Directe
             edges.add((i, j))
     return DirectedGraph(edges, nodes=range(n))
 
+
+
+def layered_bipartite(widths: list[int], gap: int = 1) -> DirectedGraph:
+    """Complete bipartite arcs between consecutive layers; ids spaced by gap.
+
+    Each layer multiplies the number of shortest paths through it by its
+    width, so path counts grow fast.
+    """
+    layers, nxt = [], 0
+    for w in widths:
+        layers.append([gap * (nxt + k) for k in range(w)])
+        nxt += w
+    edges = [(u, v) for a, b in zip(layers, layers[1:]) for u in a for v in b]
+    return DirectedGraph(edges)
 
 def fw_distances(g: DirectedGraph) -> dict[tuple[int, int], int]:
     """All-pairs distances by Floyd-Warshall; unreachable pairs absent."""
@@ -172,6 +189,49 @@ def oracle_betweenness(g: DirectedGraph) -> dict[int, Fraction]:
                     acc[v] += share
     scale = Fraction(1, (n - 1) * (n - 2))
     return {v: acc[v] * scale for v in ids}
+
+
+def reference_brandes(adj: tuple[tuple[int, ...], ...], sources: Iterable[int],
+                      rows: Iterable[list[float]]) -> None:
+    """Add each source's dependencies into its row, pairing them as ``zip`` does.
+
+    The kernel ``centrality._brandes`` replaced, kept as it was: its backward
+    pass rescans every arc and keeps those one level deeper.  The new
+    kernel must give the same rows, bit for bit.
+    """
+    n = len(adj)
+    # coeff[x] = (1 + delta[x]) / sigma[x]; an entry is read only for a node
+    # one level deeper than the reader in the current source's BFS, and such
+    # a node was written earlier in the same backward pass, so the list is
+    # never reset between sources.
+    coeff = [0.0] * n
+    for s, acc in zip(sources, rows):
+        dist = [-1] * n
+        sigma = [0] * n
+        dist[s] = 0
+        sigma[s] = 1
+        order = [s]
+        for v in order:  # order grows while it is walked: a FIFO queue
+            d = dist[v] + 1
+            sv = sigma[v]
+            for w in adj[v]:
+                dw = dist[w]
+                if dw < 0:
+                    dist[w] = d
+                    sigma[w] = sv
+                    order.append(w)
+                elif dw == d:
+                    sigma[w] += sv
+        for w in order[:0:-1]:  # reverse BFS order, source excluded
+            d = dist[w] + 1
+            t = 0.0
+            for x in adj[w]:
+                if dist[x] == d:
+                    t += coeff[x]
+            sw = sigma[w]
+            delta = sw * t
+            coeff[w] = (1.0 + delta) / sw
+            acc[w] += delta
 
 
 def oracle_cascade(

@@ -15,6 +15,8 @@ from influnet.centrality import _BLOCK, _betweenness_acc, _processes
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from strategies import sparse_digraphs  # noqa: E402
+
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 PROPERTY = settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -28,17 +30,6 @@ def assert_no_child_left() -> None:
 def random_graph(rng: random.Random, n: int, p: float, gap: int = 1) -> DirectedGraph:
     arcs = [(gap * u, gap * v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
     return DirectedGraph(arcs, nodes=(gap * v for v in range(n)))
-
-
-@st.composite
-def sparse_digraphs(draw) -> DirectedGraph:
-    """Gapped ids, isolated nodes and unreachable pairs, from below one block to several."""
-    n = draw(st.integers(3, 5 * _BLOCK + 3))
-    ids = sorted(draw(st.sets(st.integers(0, 10**6), min_size=n, max_size=n)))
-    node = st.sampled_from(ids)
-    arcs = draw(st.sets(st.tuples(node, node).filter(lambda a: a[0] != a[1]),
-                        max_size=3 * n))
-    return DirectedGraph(arcs, nodes=ids)
 
 
 @PROPERTY

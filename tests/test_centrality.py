@@ -18,7 +18,9 @@ from influnet import (
     top_k,
 )
 from influnet import report
-from helpers import oracle_betweenness, random_digraph, random_strongly_connected
+from helpers import (
+    layered_bipartite, oracle_betweenness, random_digraph, random_strongly_connected,
+)
 
 
 def test_degree_table_star():
@@ -74,23 +76,13 @@ def test_betweenness_matches_enumeration_oracle():
             assert abs(b[v] - float(ref[v])) < 1e-12
 
 
-def _layered_bipartite(widths: list[int], gap: int) -> DirectedGraph:
-    """Complete bipartite arcs between consecutive layers; ids spaced by gap."""
-    layers, nxt = [], 0
-    for w in widths:
-        layers.append([gap * (nxt + k) for k in range(w)])
-        nxt += w
-    edges = [(u, v) for a, b in zip(layers, layers[1:]) for u in a for v in b]
-    return DirectedGraph(edges)
-
-
 @pytest.mark.parametrize(
     "widths, gap",
     [([1, 3, 4, 3, 1], 1), ([2, 5, 5, 5, 2], 7), ([1, 4, 4, 4, 4, 1], 3)],
 )
 def test_betweenness_many_tied_paths_matches_oracle(widths, gap):
     # Up to 4**4 = 256 tied shortest paths per pair, so sigma >> 1.
-    g = _layered_bipartite(widths, gap)
+    g = layered_bipartite(widths, gap)
     b = betweenness_centrality(g)
     ref = oracle_betweenness(g)
     for v in g.nodes:
