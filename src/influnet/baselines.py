@@ -57,7 +57,7 @@ def gnp_random(n: int, p: float, rng_seed: int) -> DirectedGraph:
             out[i].append(j)
             out[j].append(i)
     g = DirectedGraph.__new__(DirectedGraph)
-    g._set_index(tuple(range(n)), tuple(map(tuple, out)), directed=False)
+    g._set_index(dict(zip(range(n), range(n))), tuple(map(tuple, out)), directed=False)
     return g
 
 

@@ -4,11 +4,13 @@ Betweenness runs over directed shortest paths and is normalized by
 (n - 1)(n - 2), the count of ordered pairs a node could sit between.
 Eigenvector centrality scores flow along influence: an account's score is
 the sum of its followers' scores, iterated to a fixed point under an L2
-norm.  Degree columns come straight off the adjacency.
+norm, and retried on A + I where it oscillates.  Degree columns come
+straight off the adjacency.
 
 Each measure returns a plain ``{node: score}`` dict (``degree_table`` the
-in- and out-degree pair); :func:`full_table` runs them all and holds the
-four columns in one :class:`CentralityTable`.
+in- and out-degree pair); :func:`full_table` only runs them all and holds
+the four columns, each equal to its function's result, in one
+:class:`CentralityTable`.
 
 Betweenness is a sum over sources of each source's dependencies (Brandes
 2001), and on large graphs the sources are shared among forked processes,
@@ -131,9 +133,10 @@ def _betweenness_acc(adj: tuple[tuple[int, ...], ...], processes: int) -> list[f
 
     The sources 0..n-1 are cut into blocks of ``_BLOCK``, and block k goes
     to process k mod P.  This process adds its own blocks straight into
-    ``acc``; each forked worker runs each of its sources into a fresh row
-    of zeros and writes the rows to a pipe as float64.  The rows are read
-    back in source order and added to ``acc`` one at a time.  A fresh row
+    ``acc`` (with P = 1 that is every block, and nothing is forked); each
+    forked worker runs each of its sources into a fresh row of zeros and
+    writes the rows to a pipe as float64.  The rows are read back in
+    source order and added to ``acc`` one at a time.  A fresh row
     holds ``0.0 + delta == delta`` and every entry of ``acc`` is at least
     +0.0, so ``acc[w] + 0.0 == acc[w]`` where a source adds nothing: each
     ``acc[w]`` is the same left-to-right sum, bit for bit, whatever P is.
@@ -147,9 +150,6 @@ def _betweenness_acc(adj: tuple[tuple[int, ...], ...], processes: int) -> list[f
     procs = max(1, min(processes, len(blocks)))
     log.debug("betweenness: %d sources over %d processes", n, procs)
     acc = [0.0] * n
-    if procs == 1:
-        _brandes(adj, range(n), repeat(acc))
-        return acc
     workers: list[tuple[int, BinaryIO]] = []
     try:
         for k in range(1, procs):
@@ -298,21 +298,21 @@ def eigenvector_centrality(
     g: DirectedGraph,
     tol: float = 1e-10,
     max_iter: int = 1000,
-    shifted: bool = False,
 ) -> dict[int, float]:
     """Dominant-eigenvector scores by power iteration.
 
     Each step replaces a node's score with the sum of its followers'
     scores, then renormalizes to unit L2 norm.  Iteration stops once the
     largest componentwise change drops below ``tol`` and the vector is an
-    eigenvector to within a small residual; exceeding ``max_iter`` raises
-    :class:`ConvergenceError` carrying the last iterate.
+    eigenvector to within a small residual.
 
-    With ``shifted`` the step also adds the node's own score, iterating
-    A + I instead of A.  The eigenvectors are the same, but on a strongly
-    connected graph whose cycle lengths share a factor (a bipartite core,
-    say) the dominant eigenvalue of A + I is strictly dominant, so the
-    iteration settles where plain iteration oscillates forever.
+    If plain iteration does not settle within ``max_iter`` steps, a warning
+    is logged and A + I, which has the same eigenvectors, is iterated once
+    in its place: on a strongly connected graph whose cycle lengths share
+    a factor (a bipartite core, say) its dominant eigenvalue is strictly
+    dominant, so it settles where plain iteration oscillates forever.  If
+    it does not settle either, its :class:`ConvergenceError` carrying the
+    last iterate propagates.
 
     On a graph without a directed cycle A is nilpotent, so some step maps
     the iterate to zero.  The last nonzero iterate is then returned: an
@@ -322,15 +322,26 @@ def eigenvector_centrality(
     weight lands on 4, the account at the top of the chain.  Plain
     iteration reaches zero within n steps, so on such a graph the cap is
     raised to n + 1 when ``max_iter`` is smaller: a chain of any length
-    settles.
+    settles, and no retry is needed.
     """
     if g.node_count == 0:
         raise ValueError("empty graph")
-    ids = g.ids
+    if _acyclic(g):
+        return _power_iteration(g.ids, g.inc, tol, max(max_iter, g.node_count + 1))
+    try:
+        return _power_iteration(g.ids, g.inc, tol, max_iter)
+    except ConvergenceError as exc:
+        log.warning("%s (residual %.3g); retrying with shifted iteration A + I",
+                    exc, exc.residual)
+    # A + I: every node counts itself as one more follower.
+    followers = tuple(f + (k,) for k, f in enumerate(g.inc))
+    return _power_iteration(g.ids, followers, tol, max_iter)
+
+
+def _power_iteration(ids: tuple[int, ...], followers: tuple[tuple[int, ...], ...],
+                     tol: float, max_iter: int) -> dict[int, float]:
+    """Iterate x <- M x / |M x| from the uniform start, M[v][u] = 1 for u in followers[v]."""
     n = len(ids)
-    if not shifted and _acyclic(g):
-        max_iter = max(max_iter, n + 1)
-    followers = tuple(f + (k,) for k, f in enumerate(g.inc)) if shifted else g.inc
     x = [1.0 / math.sqrt(n)] * n
     residual = math.inf
     for _ in range(max_iter):
@@ -370,20 +381,8 @@ def full_table(
     tol: float = 1e-10,
     max_iter: int = 1000,
 ) -> CentralityTable:
-    """All four measures for one graph.
-
-    If plain eigenvector iteration does not settle, it is retried once with
-    shifted iteration (A + I), which has the same eigenvectors.
-    """
-    try:
-        eig = eigenvector_centrality(g, tol=tol, max_iter=max_iter)
-    except ConvergenceError as exc:
-        log.warning(
-            "%s (residual %.3g); retrying with shifted iteration A + I",
-            exc,
-            exc.residual,
-        )
-        eig = eigenvector_centrality(g, tol=tol, max_iter=max_iter, shifted=True)
+    """All four measures for one graph."""
+    eig = eigenvector_centrality(g, tol=tol, max_iter=max_iter)
     in_degree, out_degree = degree_table(g)
     return CentralityTable(in_degree, out_degree, betweenness_centrality(g), eig)
 

@@ -61,23 +61,22 @@ class DirectedGraph:
             if not directed:
                 succ[j].append(i)
         node_set.update(succ, *succ.values())
-        ids = sorted(node_set)
-        pos = {v: k for k, v in enumerate(ids)}
-        out: list[tuple[int, ...]] = [()] * len(ids)
+        pos = {v: k for k, v in enumerate(sorted(node_set))}
+        out: list[tuple[int, ...]] = [()] * len(pos)
         for i, targets in succ.items():
             out[pos[i]] = tuple(map(pos.__getitem__, sorted(set(targets))))
-        self._set_index(tuple(ids), tuple(out), directed)
+        self._set_index(pos, tuple(out), directed)
 
     def _set_index(
-        self, ids: tuple[int, ...], out: tuple[tuple[int, ...], ...], directed: bool
+        self, pos: dict[int, int], out: tuple[tuple[int, ...], ...], directed: bool
     ) -> None:
-        """Adopt an index that is already valid: ids sorted, each out[p] sorted.
+        """Adopt a valid index: ``pos`` maps ids, ascending, to 0..n-1; each out[p] is sorted.
 
         An undirected graph's arcs must be symmetric; its ``inc`` is then
         ``out`` itself, since followers and followees coincide.
         """
-        self.ids = ids
-        self.pos = {v: k for k, v in enumerate(ids)}
+        self.ids = ids = tuple(pos)
+        self.pos = pos
         self.out = out
         if directed:
             # Sources are visited in position order, so each inc[q] comes out sorted.
@@ -312,7 +311,7 @@ def _restrict(g: DirectedGraph, kept: list[int]) -> DirectedGraph:
         remap[p] = k
     out = tuple(tuple([r for q in g.out[p] if (r := remap[q]) >= 0]) for p in kept)
     core = DirectedGraph.__new__(DirectedGraph)
-    core._set_index(tuple(g.ids[p] for p in kept), out, g.directed)
+    core._set_index({g.ids[p]: k for k, p in enumerate(kept)}, out, g.directed)
     return core
 
 

@@ -119,7 +119,7 @@ def local_clustering(g: DirectedGraph) -> dict[int, float]:
 def average_clustering(g: DirectedGraph) -> float:
     """Mean local clustering coefficient over all nodes."""
     coeffs = local_clustering(g)
-    return math.fsum(coeffs[n] for n in sorted(coeffs)) / len(coeffs)
+    return math.fsum(coeffs.values()) / len(coeffs)
 
 
 def summarize(g: DirectedGraph) -> NetworkSummary:

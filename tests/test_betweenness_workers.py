@@ -5,12 +5,13 @@ from __future__ import annotations
 import os
 import random
 import threading
+from itertools import repeat
 
 import pytest
 
 from influnet import DirectedGraph, betweenness_centrality
 from influnet import centrality
-from influnet.centrality import _BLOCK, _betweenness_acc, _processes
+from influnet.centrality import _BLOCK, _betweenness_acc, _brandes, _processes
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -27,15 +28,22 @@ def assert_no_child_left() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
+def whole_range(adj: tuple[tuple[int, ...], ...]) -> list[float]:
+    """One kernel call over every source into one row: the bits any process count must give."""
+    acc = [0.0] * len(adj)
+    _brandes(adj, range(len(adj)), repeat(acc))
+    return acc
+
+
 def random_graph(rng: random.Random, n: int, p: float, gap: int = 1) -> DirectedGraph:
     arcs = [(gap * u, gap * v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
     return DirectedGraph(arcs, nodes=(gap * v for v in range(n)))
 
 
 @PROPERTY
-@given(sparse_digraphs(), st.sampled_from([2, 3]))
+@given(sparse_digraphs(), st.sampled_from([1, 2, 3]))
 def test_workers_return_the_one_process_bits(g, processes):
-    one = _betweenness_acc(g.out, 1)
+    one = whole_range(g.out)
     assert _betweenness_acc(g.out, processes) == one
     assert_no_child_left()
 
@@ -52,7 +60,7 @@ def test_workers_return_the_one_process_bits(g, processes):
 )
 def test_block_edges_return_the_one_process_bits(n, processes):
     g = random_graph(random.Random(n), n, 0.15, gap=7)
-    assert _betweenness_acc(g.out, processes) == _betweenness_acc(g.out, 1)
+    assert _betweenness_acc(g.out, processes) == whole_range(g.out)
     assert_no_child_left()
 
 
@@ -61,7 +69,8 @@ def test_unreachable_pairs_and_isolated_node_return_the_one_process_bits():
     arcs = [(10 * u, 10 * v) for u in range(30) for v in range(30) if u != v and rng.random() < 0.1]
     arcs += [(1000 + u, 1000 + u + 1) for u in range(20)]  # a second, acyclic component
     g = DirectedGraph(arcs, nodes=[555])
-    one = _betweenness_acc(g.out, 1)
+    one = whole_range(g.out)
+    assert _betweenness_acc(g.out, 1) == one
     assert _betweenness_acc(g.out, 2) == one
     assert _betweenness_acc(g.out, 3) == one
     assert_no_child_left()
@@ -69,7 +78,7 @@ def test_unreachable_pairs_and_isolated_node_return_the_one_process_bits():
 
 def test_betweenness_centrality_forks_above_the_work_constant(monkeypatch, caplog):
     g = random_graph(random.Random(5), 60, 0.1)
-    expected = {v: b for v, b in zip(g.ids, _betweenness_acc(g.out, 1))}
+    expected = {v: b for v, b in zip(g.ids, whole_range(g.out))}
     monkeypatch.setattr(centrality, "_FORK_WORK", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)

@@ -22,6 +22,7 @@ from influnet import (  # noqa: E402
 )
 from influnet.centrality import _acyclic  # noqa: E402
 from helpers import fw_distances, oracle_index  # noqa: E402
+from strategies import sparse_digraphs  # noqa: E402
 
 PROPERTY = settings(max_examples=50, derandomize=True, deadline=None, database=None)
 
@@ -67,6 +68,14 @@ def dags(draw, max_nodes: int = 12) -> DirectedGraph:
     )
     arcs = draw(st.sets(forward, max_size=3 * n))
     return DirectedGraph(((order[i], order[j]) for i, j in arcs), nodes=range(n))
+
+
+@st.composite
+def mutual_trees(draw, max_nodes: int = 12) -> DirectedGraph:
+    """A random tree on 0..n-1 with every edge followed both ways: a periodic core."""
+    n = draw(st.integers(2, max_nodes))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    return DirectedGraph(edges + [(v, u) for u, v in edges])
 
 
 def relabel(g: DirectedGraph, mapping: dict[int, int]) -> DirectedGraph:
@@ -229,3 +238,17 @@ def test_eigenvector_on_a_dag_ignores_a_short_cap(g, max_iter):
     assert eigenvector_centrality(g, max_iter=max_iter) == eigenvector_centrality(
         g, max_iter=10**6
     )
+
+
+@pytest.mark.parametrize("graphs", [sparse_digraphs(), mutual_trees(), dags()],
+                         ids=["sparse", "mutual_tree", "dag"])
+@PROPERTY
+@given(st.data())
+def test_eigenvector_equals_the_table_column(graphs, data):
+    g = data.draw(graphs)
+    table = table_or_failure(g)
+    try:
+        x = eigenvector_centrality(g)
+    except ConvergenceError:
+        x = ConvergenceError
+    assert x == (table if table is ConvergenceError else table.eigenvector)
