@@ -28,19 +28,14 @@ from .export import export_graph
 from .graph import (
     DirectedGraph,
     IngestResult,
-    induced_subgraph,
     ingest_edge_csv,
     largest_core,
-    parse_edge_csv,
     to_edge_csv,
-    weakly_connected_components,
 )
 from .metrics import (
     NetworkSummary,
     SmallWorldVerdict,
     average_clustering,
-    average_path_length,
-    diameter,
     local_clustering,
     small_world_sigma,
     summarize,
@@ -72,23 +67,19 @@ __all__ = [
     "Recommendation",
     "SmallWorldVerdict",
     "average_clustering",
-    "average_path_length",
     "betweenness_centrality",
     "correlation_matrix",
     "degree_table",
-    "diameter",
     "eigenvector_centrality",
     "export_graph",
     "full_table",
     "generate",
     "gnp_random",
-    "induced_subgraph",
     "ingest_edge_csv",
     "largest_core",
     "linear_threshold_run",
     "local_clustering",
     "main",
-    "parse_edge_csv",
     "rank_candidates",
     "recommend",
     "select_candidates",
@@ -100,5 +91,4 @@ __all__ = [
     "to_edge_csv",
     "top_k",
     "watts_strogatz",
-    "weakly_connected_components",
 ]

@@ -9,9 +9,8 @@ The constructor indexes the graph once, and every algorithm reads that
 index: ``ids`` holds the node ids sorted ascending, ``pos`` maps each id to
 its position in ``ids``, and ``out[p]`` and ``inc[p]`` are sorted tuples of
 the positions node p follows and is followed by.  Positions follow id
-order, so equal graphs have equal indexes.  The id-level methods
-(``nodes``, ``edges``, ``out_neighbors`` and so on) are thin views over the
-index.
+order, so equal graphs have equal indexes.  The id-level views
+(``nodes``, ``edges``, ``in_degree`` and membership) read the index.
 """
 
 from __future__ import annotations
@@ -113,29 +112,6 @@ class DirectedGraph:
                 if self.directed or p < q:
                     yield (ids[p], ids[q])
 
-    def arc_set(self) -> frozenset[tuple[int, int]]:
-        """Every arc as an (i, j) id pair; both directions of an undirected edge."""
-        ids = self.ids
-        return frozenset(
-            (ids[p], ids[q]) for p, targets in enumerate(self.out) for q in targets
-        )
-
-    def has_edge(self, i: int, j: int) -> bool:
-        p = self.pos.get(i)
-        q = self.pos.get(j)
-        return p is not None and q is not None and q in self.out[p]
-
-    def out_neighbors(self, n: int) -> tuple[int, ...]:
-        """Accounts that n follows."""
-        return tuple(map(self.ids.__getitem__, self.out[self.pos[n]]))
-
-    def in_neighbors(self, n: int) -> tuple[int, ...]:
-        """Accounts that follow n."""
-        return tuple(map(self.ids.__getitem__, self.inc[self.pos[n]]))
-
-    def out_degree(self, n: int) -> int:
-        return len(self.out[self.pos[n]])
-
     def in_degree(self, n: int) -> int:
         return len(self.inc[self.pos[n]])
 
@@ -181,9 +157,10 @@ def ingest_edge_csv(source: str | TextIO | Iterable[str]) -> IngestResult:
     ``i,j`` meaning account i follows account j, each id written in ASCII
     decimal digits.  Self-loops and repeated rows are dropped and counted.
     Malformed rows raise :class:`EdgeListParseError` with the offending
-    line number.
+    line number.  A ``str`` is split at LF, CRLF and CR alike, as a text
+    file is.
     """
-    lines = iter(io.StringIO(source) if isinstance(source, str) else source)
+    lines = iter(io.StringIO(source, newline=None) if isinstance(source, str) else source)
     line_no = 0
     for line_no, raw in enumerate(lines, start=1):
         row = raw.strip()
@@ -256,13 +233,8 @@ def _is_edge_row(row: str) -> bool:
     return True
 
 
-def parse_edge_csv(source: str | TextIO | Iterable[str]) -> DirectedGraph:
-    """Parse a two-column edge CSV, discarding the repair counters."""
-    return ingest_edge_csv(source).graph
-
-
 def to_edge_csv(g: DirectedGraph) -> str:
-    """Serialize a graph to the same CSV schema ``parse_edge_csv`` reads.
+    """Serialize a graph to the same CSV schema ``ingest_edge_csv`` reads.
 
     Rows are sorted, so equal graphs serialize to identical bytes.
     """
@@ -295,15 +267,6 @@ def _components(g: DirectedGraph) -> list[list[int]]:
     return comps
 
 
-def weakly_connected_components(g: DirectedGraph) -> list[frozenset[int]]:
-    """Components of the graph with edge direction ignored.
-
-    Ordered largest first; ties broken by smallest member id.
-    """
-    ids = g.ids
-    return [frozenset(ids[p] for p in comp) for comp in _components(g)]
-
-
 def _restrict(g: DirectedGraph, kept: list[int]) -> DirectedGraph:
     """The subgraph induced on the sorted positions ``kept``, re-indexed in place of a rebuild."""
     remap = [-1] * g.node_count
@@ -313,15 +276,6 @@ def _restrict(g: DirectedGraph, kept: list[int]) -> DirectedGraph:
     core = DirectedGraph.__new__(DirectedGraph)
     core._set_index({g.ids[p]: k for k, p in enumerate(kept)}, out, g.directed)
     return core
-
-
-def induced_subgraph(g: DirectedGraph, keep: Iterable[int]) -> DirectedGraph:
-    """Restrict the graph to ``keep``, retaining edges with both ends inside."""
-    keep_set = frozenset(keep)
-    unknown = keep_set - g.nodes
-    if unknown:
-        raise ValueError(f"unknown node id(s): {sorted(unknown)[:5]}")
-    return _restrict(g, sorted(g.pos[v] for v in keep_set))
 
 
 def largest_core(g: DirectedGraph) -> DirectedGraph:

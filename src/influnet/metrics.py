@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import DirectedGraph, weakly_connected_components
+from .graph import DirectedGraph, _components
 
 # Targets per bit-parallel sweep.  Each level holds one int of this many
 # bits per node, so memory stays near n * BLOCK_BITS / 8 bytes per level.
@@ -85,16 +85,6 @@ def _distance_stats(g: DirectedGraph) -> tuple[float, int]:
     return total / pairs, diam
 
 
-def average_path_length(g: DirectedGraph) -> float:
-    """Mean shortest-path length over ordered pairs with a finite distance."""
-    return _distance_stats(g)[0]
-
-
-def diameter(g: DirectedGraph) -> int:
-    """Longest finite shortest-path distance."""
-    return _distance_stats(g)[1]
-
-
 def local_clustering(g: DirectedGraph) -> dict[int, float]:
     """Per-node clustering coefficient on the undirected projection.
 
@@ -138,7 +128,7 @@ def summarize(g: DirectedGraph) -> NetworkSummary:
         average_path_length=apl,
         average_clustering=average_clustering(g),
         diameter=diam,
-        component_count=len(weakly_connected_components(g)),
+        component_count=len(_components(g)),
     )
 
 

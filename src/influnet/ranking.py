@@ -114,9 +114,6 @@ class CorrelationMatrix:
     labels: tuple[str, ...]
     values: tuple[tuple[float | None, ...], ...]
 
-    def entry(self, row: str, col: str) -> float | None:
-        return self.values[self.labels.index(row)][self.labels.index(col)]
-
 
 def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     n = len(xs)

@@ -15,7 +15,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from pathlib import Path
 
-from influnet import DirectedGraph, parse_edge_csv
+from influnet import CorrelationMatrix, DirectedGraph, ingest_edge_csv
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE = DATA_DIR / "follows12.csv"
@@ -23,7 +23,27 @@ GOLDEN_DIR = DATA_DIR / "golden"
 
 
 def load_fixture() -> DirectedGraph:
-    return parse_edge_csv(FIXTURE.read_text(encoding="utf-8"))
+    return ingest_edge_csv(FIXTURE.read_text(encoding="utf-8")).graph
+
+
+def arc_pairs(g: DirectedGraph) -> set[tuple[int, int]]:
+    """Every arc as an (i, j) id pair; both directions of an undirected edge."""
+    return {(g.ids[p], g.ids[q]) for p, targets in enumerate(g.out) for q in targets}
+
+
+def followees(g: DirectedGraph, v: int) -> list[int]:
+    """The ids that v follows."""
+    return [g.ids[q] for q in g.out[g.pos[v]]]
+
+
+def followers(g: DirectedGraph, v: int) -> list[int]:
+    """The ids that follow v."""
+    return [g.ids[p] for p in g.inc[g.pos[v]]]
+
+
+def cell(m: CorrelationMatrix, row: str, col: str) -> float | None:
+    """The coefficient of two named columns."""
+    return m.values[m.labels.index(row)][m.labels.index(col)]
 
 
 def random_digraph(rng: random.Random, n: int, p: float) -> DirectedGraph:
@@ -73,7 +93,7 @@ def fw_distances(g: DirectedGraph) -> dict[tuple[int, int], int]:
     ids = sorted(g.nodes)
     inf = float("inf")
     dist = {(i, j): (0 if i == j else inf) for i in ids for j in ids}
-    for i, j in g.arc_set():
+    for i, j in arc_pairs(g):
         dist[(i, j)] = 1
     for k in ids:
         for i in ids:
@@ -130,7 +150,7 @@ def oracle_index(edges, nodes=(), directed: bool = True):
 def oracle_clustering(g: DirectedGraph) -> dict[int, float]:
     """Per-node coefficients by explicitly testing every neighbor pair."""
     nbrs = {
-        n: frozenset(g.out_neighbors(n)) | frozenset(g.in_neighbors(n))
+        n: frozenset(followees(g, n)) | frozenset(followers(g, n))
         for n in g.nodes
     }
     out: dict[int, float] = {}
@@ -163,7 +183,7 @@ def oracle_betweenness(g: DirectedGraph) -> dict[int, Fraction]:
         while frontier:
             nxt = []
             for v in frontier:
-                for w in g.out_neighbors(v):
+                for w in followees(g, v):
                     if w not in dist:
                         dist[w] = dist[v] + 1
                         nxt.append(w)
@@ -249,7 +269,7 @@ def oracle_cascade(
         for v in g.nodes:
             if v in active:
                 continue
-            follows = g.out_neighbors(v)
+            follows = followees(g, v)
             if not follows:
                 continue
             hit = sum(1 for u in follows if u in active)
@@ -269,7 +289,7 @@ def follower_reachable(g: DirectedGraph, seed: int) -> set[int]:
     while frontier:
         nxt = []
         for v in frontier:
-            for w in g.in_neighbors(v):
+            for w in followers(g, v):
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)

@@ -16,7 +16,6 @@ from influnet import (
     DiffusionTrace,
     NetworkSummary,
     RankRecord,
-    average_path_length,
     betweenness_centrality,
     correlation_matrix,
     eigenvector_centrality,
@@ -30,12 +29,13 @@ from influnet import (
 )
 from influnet.cli import main
 from influnet.graph import DirectedGraph
-from influnet.metrics import local_clustering, diameter as graph_diameter
+from influnet.metrics import local_clustering
 
 from conftest import record_verdict
 from helpers import (
     FIXTURE,
     GOLDEN_DIR,
+    followers,
     fw_path_stats,
     oracle_betweenness,
     oracle_cascade,
@@ -111,7 +111,7 @@ def test_c3_eigenvector_residual():
         norm = math.sqrt(math.fsum(c * c for c in x.values()))
         worst_norm = max(worst_norm, abs(norm - 1.0))
         min_comp = min(min_comp, min(x.values()))
-        y = {v: math.fsum(x[u] for u in g.in_neighbors(v)) for v in g.nodes}
+        y = {v: math.fsum(x[u] for u in followers(g, v)) for v in g.nodes}
         lam = math.fsum(x[v] * y[v] for v in g.nodes)
         worst_res = max(
             worst_res, max(abs(y[v] - lam * x[v]) for v in g.nodes)
@@ -197,7 +197,7 @@ def test_c6_baseline_statistics():
     se = math.sqrt(pairs * 0.05 * 0.95 / len(counts))
     mean_ok = abs(mean - expected) <= 3 * se
 
-    apl = average_path_length(gnp_random(874, 0.05, 0))
+    apl = summarize(gnp_random(874, 0.05, 0)).average_path_length
     apl_ok = 1.5 <= apl <= 3.5
 
     ws = summarize(watts_strogatz(500, 10, 0.05, 0))
@@ -223,7 +223,8 @@ def test_c7_metric_oracles():
         g = random_digraph(rng, n, rng.uniform(0.1, 0.6))
         try:
             ref_apl, ref_diam = fw_path_stats(g)
-            if average_path_length(g) != ref_apl or graph_diameter(g) != ref_diam:
+            s = summarize(g)
+            if s.average_path_length != ref_apl or s.diameter != ref_diam:
                 path_exact = False
         except ValueError:
             pass  # no reachable pairs; both sides refuse, checked in unit tests

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from influnet import DirectedGraph, export_graph, parse_edge_csv
+from influnet import DirectedGraph, export_graph, ingest_edge_csv
 
 
 def test_dot_single_edge():
@@ -62,7 +62,7 @@ def test_graphml_undirected_edges_once():
 
 def test_csv_export_round_trips():
     g = DirectedGraph([(5, 1), (1, 5), (2, 3)])
-    assert parse_edge_csv(export_graph(g, "csv")) == g
+    assert ingest_edge_csv(export_graph(g, "csv")).graph == g
 
 
 def test_unknown_format_rejected():

@@ -12,10 +12,8 @@ from influnet import (
     gnp_random,
     NetworkSummary,
     average_clustering,
-    average_path_length,
-    diameter,
+    ingest_edge_csv,
     local_clustering,
-    parse_edge_csv,
     small_world_sigma,
     summarize,
     to_edge_csv,
@@ -28,14 +26,15 @@ from helpers import fw_distances, fw_path_stats, oracle_clustering, random_digra
 def test_path_stats_on_three_chain():
     g = DirectedGraph([(1, 2), (2, 3)])
     # Finite pairs: 1-2, 1-3, 2-3 with lengths 1, 2, 1.
-    assert average_path_length(g) == 4 / 3
-    assert diameter(g) == 2
+    s = summarize(g)
+    assert s.average_path_length == 4 / 3
+    assert s.diameter == 2
 
 
 def test_path_stats_on_directed_cycle():
-    g = DirectedGraph([(1, 2), (2, 3), (3, 4), (4, 1)])
-    assert average_path_length(g) == 2.0
-    assert diameter(g) == 3
+    s = summarize(DirectedGraph([(1, 2), (2, 3), (3, 4), (4, 1)]))
+    assert s.average_path_length == 2.0
+    assert s.diameter == 3
 
 
 def test_two_node_summary():
@@ -44,13 +43,13 @@ def test_two_node_summary():
 
 
 def test_path_stats_need_two_nodes():
-    with pytest.raises(ValueError):
-        average_path_length(DirectedGraph([], nodes=[1]))
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        metrics._distance_stats(DirectedGraph([], nodes=[1]))
 
 
 def test_no_reachable_pairs_rejected():
     with pytest.raises(ValueError, match="no reachable pairs"):
-        average_path_length(DirectedGraph([], nodes=[1, 2]))
+        metrics._distance_stats(DirectedGraph([], nodes=[1, 2]))
 
 
 def test_summarize_empty_rejected():
@@ -113,24 +112,26 @@ def test_path_stats_match_floyd_warshall():
             apl, diam = fw_path_stats(g)
         except ValueError:
             with pytest.raises(ValueError):
-                average_path_length(g)
+                metrics._distance_stats(g)
             continue
-        assert average_path_length(g) == apl
-        assert diameter(g) == diam
+        s = summarize(g)
+        assert s.average_path_length == apl
+        assert s.diameter == diam
 
 
 def test_adding_edges_never_lengthens_paths():
     rng = random.Random(31)
     g = random_digraph(rng, 9, 0.25)
     before = fw_distances(g)
+    arcs = set(g.edges())
     absent = [
         (i, j)
         for i in g.nodes
         for j in g.nodes
-        if i != j and not g.has_edge(i, j)
+        if i != j and (i, j) not in arcs
     ]
     extra = rng.choice(absent)
-    bigger = DirectedGraph(list(g.arc_set()) + [extra], nodes=g.nodes)
+    bigger = DirectedGraph([*arcs, extra], nodes=g.nodes)
     after = fw_distances(bigger)
     for pair, d in before.items():
         assert after[pair] <= d
@@ -139,7 +140,7 @@ def test_adding_edges_never_lengthens_paths():
 def test_summary_survives_round_trip():
     rng = random.Random(37)
     g = random_digraph(rng, 15, 0.2)
-    assert summarize(parse_edge_csv(to_edge_csv(g))) == summarize(g)
+    assert summarize(ingest_edge_csv(to_edge_csv(g)).graph) == summarize(g)
 
 
 def test_block_size_does_not_change_results(monkeypatch):
@@ -173,7 +174,8 @@ def test_path_stats_skip_unreachable_isolated_and_sparse_ids(monkeypatch):
         [(100, 7), (7, 3000), (42, 900), (5, 6), (6, 5)], nodes=[1, 55, 8000]
     )
     apl, diam = fw_path_stats(g)
-    assert (average_path_length(g), diameter(g)) == (apl, diam)
+    s = summarize(g)
+    assert (s.average_path_length, s.diameter) == (apl, diam)
     # Reached pairs: 100-7, 7-3000, 100-3000, 42-900, 5-6, 6-5.
     assert apl == 7 / 6
     assert diam == 2
@@ -185,8 +187,9 @@ def test_path_stats_on_undirected_baselines(monkeypatch):
     graphs += [watts_strogatz(n, 4, p, seed) for n, p, seed in ((12, 0.0, 4), (25, 0.2, 5))]
     for g in graphs:
         apl, diam = fw_path_stats(g)
-        assert average_path_length(g) == apl
-        assert diameter(g) == diam
+        s = summarize(g)
+        assert s.average_path_length == apl
+        assert s.diameter == diam
         ref = oracle_clustering(g)
         assert local_clustering(g) == ref
 
@@ -196,14 +199,14 @@ def test_path_stats_errors_survive_small_blocks(monkeypatch):
     with pytest.raises(ValueError, match="at least 2 nodes"):
         summarize(DirectedGraph([], nodes=[4]))
     with pytest.raises(ValueError, match="no reachable pairs"):
-        diameter(DirectedGraph([], nodes=[4, 9, 11]))
+        metrics._distance_stats(DirectedGraph([], nodes=[4, 9, 11]))
 
 
 def test_clustering_with_mutual_arcs_matches_oracle():
     rng = random.Random(47)
     for _ in range(25):
         g = random_digraph(rng, rng.randint(3, 15), 0.3)
-        arcs = set(g.arc_set())
+        arcs = set(g.edges())
         # Make about half the arcs mutual, so projected pairs repeat.
         arcs |= {(j, i) for i, j in sorted(arcs) if rng.random() < 0.5}
         g = DirectedGraph(sorted(arcs), nodes=g.nodes)

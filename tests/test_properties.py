@@ -13,15 +13,14 @@ from influnet import (  # noqa: E402
     eigenvector_centrality,
     full_table,
     gnp_random,
-    induced_subgraph,
     ingest_edge_csv,
     largest_core,
-    parse_edge_csv,
     summarize,
     to_edge_csv,
 )
 from influnet.centrality import _acyclic  # noqa: E402
-from helpers import fw_distances, oracle_index  # noqa: E402
+from influnet.graph import _restrict  # noqa: E402
+from helpers import arc_pairs, fw_distances, oracle_index  # noqa: E402
 from strategies import sparse_digraphs  # noqa: E402
 
 PROPERTY = settings(max_examples=50, derandomize=True, deadline=None, database=None)
@@ -80,7 +79,7 @@ def mutual_trees(draw, max_nodes: int = 12) -> DirectedGraph:
 
 def relabel(g: DirectedGraph, mapping: dict[int, int]) -> DirectedGraph:
     return DirectedGraph(
-        ((mapping[i], mapping[j]) for i, j in g.arc_set()),
+        ((mapping[i], mapping[j]) for i, j in g.edges()),
         nodes=(mapping[v] for v in g.nodes),
     )
 
@@ -135,7 +134,7 @@ def test_edges_are_the_sorted_input_arcs(arcs, directed):
     else:
         # One row per unordered pair, smaller id first.
         assert list(g.edges()) == sorted({(min(a), max(a)) for a in arcs})
-        assert g.arc_set() == frozenset(arcs) | {(j, i) for i, j in arcs}
+        assert arc_pairs(g) == arcs | {(j, i) for i, j in arcs}
     assert g.edge_count == len(list(g.edges()))
 
 
@@ -143,7 +142,7 @@ def test_edges_are_the_sorted_input_arcs(arcs, directed):
 @given(arc_sets)
 def test_edge_csv_round_trips(arcs):
     g = DirectedGraph(arcs)  # every node is an arc end, so none is isolated
-    assert parse_edge_csv(to_edge_csv(g)) == g
+    assert ingest_edge_csv(to_edge_csv(g)).graph == g
 
 
 @PROPERTY
@@ -158,7 +157,7 @@ def test_edge_csv_is_the_edge_rows(arcs, nodes, directed):
 def test_induced_subgraph_on_a_cut_keep_set(arcs, nodes, directed, data):
     g = DirectedGraph(arcs, nodes=nodes, directed=directed)
     keep = data.draw(st.sets(st.sampled_from(g.ids))) if g.ids else set()
-    sub = induced_subgraph(g, keep)
+    sub = _restrict(g, sorted(g.pos[v] for v in keep))
     ref = DirectedGraph(
         [(i, j) for i, j in arcs if i in keep and j in keep], nodes=keep, directed=directed
     )
@@ -210,15 +209,13 @@ def test_smaller_disjoint_component_leaves_core_results_unchanged(data):
     core = data.draw(connected_digraphs(2, 10))
     gap = data.draw(st.integers(0, 100))
     fringe = data.draw(connected_digraphs(1, core.node_count - 1, max(core.nodes) + 1 + gap))
-    g = DirectedGraph(
-        core.arc_set() | fringe.arc_set(), nodes=core.nodes | fringe.nodes
-    )
+    g = DirectedGraph([*core.edges(), *fringe.edges()], nodes=core.nodes | fringe.nodes)
     found = largest_core(g)
     assert found == core
     rebuilt = DirectedGraph(  # through the validating constructor, from the id-level API
-        [(i, j) for i, j in g.arc_set() if i in core and j in core], nodes=core.nodes
+        [(i, j) for i, j in g.edges() if i in core and j in core], nodes=core.nodes
     )
-    assert found == induced_subgraph(g, core.nodes) == rebuilt
+    assert found == _restrict(g, [g.pos[v] for v in core.ids]) == rebuilt
     assert (found.ids, found.out, found.inc) == (rebuilt.ids, rebuilt.out, rebuilt.inc)
     assert summarize(found) == summarize(core)
     assert table_or_failure(found) == table_or_failure(core)

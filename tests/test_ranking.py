@@ -21,6 +21,7 @@ from influnet import (
     spreading_score,
 )
 from influnet import report
+from helpers import cell
 
 RANK_LABELS = tuple(name for name, _ in report.RANK_COLUMNS)
 
@@ -151,10 +152,10 @@ def test_correlation_linear_columns():
         for i in range(20)
     ]
     m = correlation_matrix(records)
-    assert m.entry("node", "in_degree") == pytest.approx(1.0, abs=1e-12)
-    assert m.entry("node", "out_degree") == pytest.approx(-1.0, abs=1e-12)
+    assert cell(m, "node", "in_degree") == pytest.approx(1.0, abs=1e-12)
+    assert cell(m, "node", "out_degree") == pytest.approx(-1.0, abs=1e-12)
     # days fixed at 1 makes score a positive multiple of proportion.
-    assert m.entry("proportion_reached", "score") == pytest.approx(1.0, abs=1e-12)
+    assert cell(m, "proportion_reached", "score") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_correlation_constant_column_is_undefined():
@@ -171,10 +172,10 @@ def test_correlation_constant_column_is_undefined():
         for i in range(10)
     ]
     m = correlation_matrix(records)
-    assert m.entry("in_degree", "in_degree") is None
-    assert m.entry("in_degree", "node") is None
-    assert m.entry("node", "betweenness") is None
-    assert m.entry("node", "out_degree") == pytest.approx(1.0, abs=1e-12)
+    assert cell(m, "in_degree", "in_degree") is None
+    assert cell(m, "in_degree", "node") is None
+    assert cell(m, "node", "betweenness") is None
+    assert cell(m, "node", "out_degree") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_correlation_needs_two_records():
