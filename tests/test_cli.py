@@ -445,6 +445,17 @@ def test_export_dot_stdout(capsys):
     assert "8 -> 9;" in out
 
 
+# Each golden is the stdout of `influnet export --input follows12.csv
+# --format <fmt>`, named export_core.<fmt> when --core is added.
+@pytest.mark.parametrize("core", [False, True])
+@pytest.mark.parametrize("fmt", ["dot", "graphml", "csv"])
+def test_export_bytes_match_golden(fmt, core, capsys):
+    argv = ["export", "--input", str(FIXTURE), "--format", fmt]
+    assert main(argv + ["--core"] * core) == 0
+    golden = GOLDEN_DIR / "cli" / f"export{'_core' * core}.{fmt}"
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
 def test_export_core_only(capsys):
     assert main(["export", "--input", str(FIXTURE), "--core", "--format", "csv"]) == 0
     out = capsys.readouterr().out
