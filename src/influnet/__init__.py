@@ -24,14 +24,8 @@ from .diffusion import (
     threshold_sweep,
 )
 from .errors import ConvergenceError, EdgeListParseError
-from .export import export_graph
-from .graph import (
-    DirectedGraph,
-    IngestResult,
-    ingest_edge_csv,
-    largest_core,
-    to_edge_csv,
-)
+from .export import export_graph, to_edge_csv
+from .graph import DirectedGraph, IngestResult, ingest_edge_csv, largest_core
 from .metrics import (
     NetworkSummary,
     SmallWorldVerdict,

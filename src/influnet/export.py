@@ -1,16 +1,22 @@
-"""Graph serialization for external viewers.
+"""Graph serialization: DOT and GraphML for external viewers, and the edge CSV.
 
 DOT and GraphML both carry a per-node ``size`` attribute equal to the
 node's follower count, so renderers can scale vertices by audience.
-Every node is written out, isolated ones included.  Output is fully
-sorted and therefore byte-stable.
+Every node is written out, isolated ones included.  The edge CSV is the
+canonical form: the schema ``ingest_edge_csv`` reads, one row per edge,
+so a node without edges is not written.  Output is fully sorted and
+therefore byte-stable.
 """
 
 from __future__ import annotations
 
-from .graph import DirectedGraph, to_edge_csv
+from bisect import bisect_right
+
+from .graph import DirectedGraph
 
 FORMATS = ("dot", "graphml", "csv")
+
+EDGE_CSV_HEADER = "i,j"
 
 
 def export_graph(g: DirectedGraph, fmt: str) -> str:
@@ -22,6 +28,22 @@ def export_graph(g: DirectedGraph, fmt: str) -> str:
     if fmt == "csv":
         return to_edge_csv(g)
     raise ValueError(f"unknown export format {fmt!r}; choose from {FORMATS}")
+
+
+def to_edge_csv(g: DirectedGraph) -> str:
+    """Serialize a graph to the same CSV schema ``ingest_edge_csv`` reads.
+
+    Rows are sorted, so equal graphs serialize to identical bytes.
+    """
+    names = list(map(str, g.ids))
+    rows = [EDGE_CSV_HEADER]
+    for p, targets in enumerate(g.out):
+        if not g.directed:
+            # One row per unordered pair: only the targets after p.
+            targets = targets[bisect_right(targets, p):]
+        head = names[p] + ","
+        rows += [head + names[q] for q in targets]
+    return "\n".join(rows) + "\n"
 
 
 def _to_dot(g: DirectedGraph) -> str:

@@ -1,9 +1,9 @@
-"""Directed graph container and edge-list ingestion.
+"""Directed graph container, edge-list ingestion, weak components and the core.
 
 Nodes are non-negative integers.  An edge (i, j) records that account i
-follows account j.  The container is immutable once built: mutators return
-new graphs.  Undirected graphs reuse the same storage with a symmetric arc
-set and report each unordered pair as a single edge.
+follows account j.  The container is immutable once built.  Undirected
+graphs reuse the same storage with a symmetric arc set and report each
+unordered pair as a single edge.
 
 The constructor indexes the graph once, and every algorithm reads that
 index: ``ids`` holds the node ids sorted ascending, ``pos`` maps each id to
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import io
 import logging
-from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, KeysView, TextIO
@@ -25,8 +24,6 @@ from typing import Iterable, Iterator, KeysView, TextIO
 from .errors import EdgeListParseError
 
 log = logging.getLogger(__name__)
-
-EDGE_CSV_HEADER = "i,j"
 
 
 class DirectedGraph:
@@ -231,22 +228,6 @@ def _is_edge_row(row: str) -> bool:
     except ValueError:
         return False
     return True
-
-
-def to_edge_csv(g: DirectedGraph) -> str:
-    """Serialize a graph to the same CSV schema ``ingest_edge_csv`` reads.
-
-    Rows are sorted, so equal graphs serialize to identical bytes.
-    """
-    names = list(map(str, g.ids))
-    rows = [EDGE_CSV_HEADER]
-    for p, targets in enumerate(g.out):
-        if not g.directed:
-            # One row per unordered pair: only the targets after p.
-            targets = targets[bisect_right(targets, p):]
-        head = names[p] + ","
-        rows += [head + names[q] for q in targets]
-    return "\n".join(rows) + "\n"
 
 
 def _components(g: DirectedGraph) -> list[list[int]]:

@@ -1,103 +1,72 @@
 """Every report's text: one table renderer, the column specs, one function per report.
 
-A table is a column spec, a sequence of ``(name, real)`` pairs, plus rows
-given as tuples in column order.  CSV writes a header line and one line
-per row, reals at 6 decimal places; JSON writes a list of one object per
-row, keys sorted, reals rounded to 6 places.  ``None`` marks an undefined
-cell: ``undefined`` in CSV, ``null`` in JSON.  ``sweep``, ``baseline``
+A table is a column spec, a tuple of column names, plus rows given as
+tuples in column order.  CSV writes a header line and one line per row;
+JSON writes a list of one object per row, keys sorted.  One rule writes
+every number, decided by the value's own type: in CSV a float is written
+at 6 decimal places, ``None`` (an undefined cell) as ``undefined`` and
+anything else as ``str(v)``; in JSON every float, at any depth, is
+rounded to 6 places and ``None`` is ``null``.  ``sweep``, ``baseline``
 and ``correlation`` have a JSON shape of their own.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, fields
-from typing import Any, Iterable, Sequence, get_type_hints
+from dataclasses import asdict, astuple, fields
+from typing import Any, Iterable, Sequence
 
 from .centrality import CentralityTable
 from .diffusion import DiffusionTrace, spreading_capacity
 from .metrics import NetworkSummary, SmallWorldVerdict
 from .ranking import CorrelationMatrix, RankRecord, Recommendation
 
-Columns = Sequence[tuple[str, bool]]
-
 UNDEFINED = "undefined"
 
 # A summary or verdict row is its label, then the dataclass's fields in order.
 SUMMARY_COLUMNS = (
-    ("network", False),
-    ("nodes", False),
-    ("edges", False),
-    ("avg_path_length", True),
-    ("avg_clustering", True),
-    ("diameter", False),
-    ("components", False),
+    "network", "nodes", "edges", "avg_path_length", "avg_clustering", "diameter", "components",
 )
-
-VERDICT_COLUMNS = (
-    ("baseline", False),
-    ("sigma", True),
-    ("clustering_ratio", True),
-    ("path_length_ratio", True),
-    ("is_small_world", False),
-)
-
-CENTRALITY_COLUMNS = (
-    ("node", False),
-    ("in_degree", False),
-    ("out_degree", False),
-    ("betweenness", True),
-    ("eigenvector", True),
-)
-
-DAY_COLUMNS = (
-    ("seed", False),
-    ("theta", True),
-    ("day", False),
-    ("active_count", False),
-    ("proportion", True),
-)
-
+VERDICT_COLUMNS = ("baseline", "sigma", "clustering_ratio", "path_length_ratio", "is_small_world")
+CENTRALITY_COLUMNS = ("node", "in_degree", "out_degree", "betweenness", "eigenvector")
+DAY_COLUMNS = ("seed", "theta", "day", "active_count", "proportion")
 TRACE_COLUMNS = (
-    ("seed", False),
-    ("theta", True),
-    ("active_counts", False),
-    ("population", False),
-    ("saturation_day", False),
-    ("proportion_reached", True),
-    ("score", True),
+    "seed", "theta", "active_counts", "population", "saturation_day", "proportion_reached", "score",
 )
+RANK_COLUMNS = tuple(f.name for f in fields(RankRecord))
 
-_RANK_TYPES = get_type_hints(RankRecord)
-RANK_COLUMNS = tuple((f.name, _RANK_TYPES[f.name] is float) for f in fields(RankRecord))
+
+def _rounded(v: Any) -> Any:
+    """``v`` with every float in it, at any depth, rounded to 6 places."""
+    if isinstance(v, float):
+        return round(v, 6)
+    if isinstance(v, dict):
+        return {k: _rounded(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_rounded(x) for x in v]
+    return v
 
 
 def _json(payload: Any) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_rounded(payload), indent=2, sort_keys=True) + "\n"
 
 
-def _records(columns: Columns, rows: Iterable[tuple]) -> list[dict[str, Any]]:
-    """Rows as JSON-ready objects keyed by column name."""
-    return [
-        {
-            name: round(v, 6) if real and v is not None else v
-            for (name, real), v in zip(columns, row)
-        }
-        for row in rows
-    ]
+def _records(columns: Sequence[str], rows: Iterable[tuple]) -> list[dict[str, Any]]:
+    """Rows as objects keyed by column name."""
+    return [dict(zip(columns, row)) for row in rows]
 
 
-def render(columns: Columns, rows: Iterable[tuple], fmt: str) -> str:
+def render(columns: Sequence[str], rows: Iterable[tuple], fmt: str) -> str:
     """The table as ``csv`` or ``json`` text."""
     if fmt == "json":
         return _json(_records(columns, rows))
     if fmt != "csv":
         raise ValueError(f"unknown table format {fmt!r}; choose csv or json")
-    out = [",".join(name for name, _ in columns)]
+    out = [",".join(columns)]
     for row in rows:
         out.append(",".join(
-            UNDEFINED if v is None else f"{v:.6f}" if real else str(v)
-            for (_, real), v in zip(columns, row)
+            UNDEFINED if v is None else f"{v:.6f}" if isinstance(v, float) else str(v)
+            for v in row
         ))
     return "\n".join(out) + "\n"
 
@@ -155,21 +124,10 @@ def rank(records: Iterable[RankRecord], fmt: str) -> str:
 def correlation(matrix: CorrelationMatrix, fmt: str) -> str:
     """CSV: a square table, labels down the side and across the top.  JSON: labels and values."""
     if fmt == "json":
-        return _json({
-            "labels": list(matrix.labels),
-            "values": [[None if v is None else round(v, 6) for v in row] for row in matrix.values],
-        })
-    columns = (("", False), *((label, True) for label in matrix.labels))
+        return _json(asdict(matrix))
     rows = [(label, *row) for label, row in zip(matrix.labels, matrix.values)]
-    return render(columns, rows, fmt)
+    return render(("", *matrix.labels), rows, fmt)
 
 
 def recommendation(rec: Recommendation) -> str:
-    return _json({
-        "node": rec.node,
-        "score": round(rec.score, 6),
-        "rationale": {
-            **rec.rationale,
-            "proportion_reached": round(rec.rationale["proportion_reached"], 6),
-        },
-    })
+    return _json(asdict(rec))

@@ -23,7 +23,7 @@ from influnet import (
 from influnet import report
 from helpers import cell
 
-RANK_LABELS = tuple(name for name, _ in report.RANK_COLUMNS)
+RANK_LABELS = report.RANK_COLUMNS
 
 
 def make_record(rng: random.Random, node: int) -> RankRecord:
