@@ -8,6 +8,7 @@ candidate seeds by how far and how fast they spread.
 from .baselines import RandomGraphSpec, generate, gnp_random, watts_strogatz
 from .centrality import (
     CentralityTable,
+    ConvergenceError,
     betweenness_centrality,
     degree_table,
     eigenvector_centrality,
@@ -23,9 +24,8 @@ from .diffusion import (
     spreading_score,
     threshold_sweep,
 )
-from .errors import ConvergenceError, EdgeListParseError
 from .export import export_graph, to_edge_csv
-from .graph import DirectedGraph, IngestResult, ingest_edge_csv, largest_core
+from .graph import DirectedGraph, EdgeListParseError, IngestResult, ingest_edge_csv, largest_core
 from .metrics import (
     NetworkSummary,
     SmallWorldVerdict,

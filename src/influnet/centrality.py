@@ -20,7 +20,8 @@ score is the same float sum, bit for bit, however many processes ran.
 Each source's BFS records its shortest-path DAG, so the backward pass
 walks only the arcs that lie on shortest paths; a source with more
 shortest paths to some node than a float can count takes the same pass
-in ratio form.
+in ratio form.  The eigenvector solver's :class:`ConvergenceError` is
+defined here too.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ try:
 except ImportError:  # not Linux: pipes keep their default size
     F_SETPIPE_SZ = None
 
-from .errors import ConvergenceError
 from .graph import DirectedGraph
 
 log = logging.getLogger(__name__)
@@ -57,7 +57,10 @@ MEASURES = ("in_degree", "betweenness", "eigenvector")
 # nodes: 0.48-0.50 s against 0.72-0.81 s, medians of 8 pairs) but gave
 # nothing at 0.8e6, 1.9e6, 4.0e6 or 5.4e6.  A worker's pipe is widened to
 # _PIPE_BYTES where the platform allows, so that the worker can run
-# several blocks ahead of the parent's reads.
+# several blocks ahead of the parent's reads.  A block is 64 * n bytes, so
+# that can pay only from about 2,000 nodes, not at paper scale: against the
+# 64-KiB default, the widened pipe won 42 of 66 alternating pairs at 2,000
+# nodes and 19 of 42 at 874 (ROADMAP, Measurements).
 _BLOCK = 8
 _FORK_WORK = 2_000_000
 _PIPE_BYTES = 1 << 20
@@ -66,6 +69,19 @@ _PIPE_BYTES = 1 << 20
 # ratio form of the backward pass (_ratio_dependencies): a float holds
 # counts below 2**1024 only.
 _SIGMA_CAP = 1 << 1000
+
+
+class ConvergenceError(RuntimeError):
+    """Raised when an iterative solver exhausts its iteration budget.
+
+    The last iterate and its residual are attached so callers can inspect
+    how far the computation got.
+    """
+
+    def __init__(self, message: str, iterate: dict, residual: float) -> None:
+        super().__init__(message)
+        self.iterate = iterate
+        self.residual = residual
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,10 @@ same flags, from the same ``report`` functions, plus
 Exit codes: 0 success, 1 usage error (including a flag value out of
 range, caught before any work runs), 2 unreadable or invalid data, 3
 iteration failed to converge, 141 stdout closed before the report was
-written (a broken pipe, as in ``| head``).  Reruns with the same inputs
-and seed are byte-identical.
+written (a broken pipe, as in ``| head``).  A betweenness worker that
+dies (to the OOM killer, say) raises an uncaught ``RuntimeError``: a
+traceback and status 1.  Reruns with the same inputs and seed are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import baselines, centrality, diffusion, export, metrics, ranking, report
-from .errors import ConvergenceError, EdgeListParseError
 from .graph import DirectedGraph, ingest_edge_csv, largest_core
 
 log = logging.getLogger("influnet.cli")  # not __name__, "__main__" under python -m
@@ -66,16 +67,14 @@ def _rank(
 
 
 def _stats_report(g: DirectedGraph, core: DirectedGraph, fmt: str) -> str:
-    """The "full" row, and a "core" row when the core has a pair of nodes.
+    """The "full" row and the "core" row.
 
     When the graph is its own core the full summary is reused, so the
     all-pairs sweep runs once.
     """
     full = metrics.summarize(g)
-    rows = [("full", full)]
-    if core.node_count >= 2:
-        rows.append(("core", full if core is g else metrics.summarize(core)))
-    return report.summary(rows, fmt)
+    core_summary = full if core is g else metrics.summarize(core)
+    return report.summary([("full", full), ("core", core_summary)], fmt)
 
 
 def _cmd_stats(args: argparse.Namespace) -> None:
@@ -93,7 +92,9 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     g = full if args.full_network else largest_core(full)
     seed = args.seed_node
     if seed is None:
-        seed = max(g.ids, key=g.in_degree)  # ids ascend: the smallest id wins ties
+        followers = [*map(len, g.inc)]
+        # The first most-followed position: ids ascend, so the smallest id wins ties.
+        seed = g.ids[followers.index(max(followers))]
     elif seed in full and seed not in g:
         raise ValueError(
             f"seed {seed} lies outside the largest weak component; --full-network keeps it"
@@ -322,10 +323,10 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141  # 128 + SIGPIPE, as a shell reports a process the signal killed
-    except ConvergenceError as exc:
+    except centrality.ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (EdgeListParseError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # an EdgeListParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

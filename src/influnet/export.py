@@ -50,8 +50,8 @@ def _to_dot(g: DirectedGraph) -> str:
     kind = "digraph" if g.directed else "graph"
     arrow = "->" if g.directed else "--"
     lines = [f"{kind} G {{"]
-    for n in g.ids:
-        lines.append(f'  {n} [size={g.in_degree(n)}];')
+    for n, f in zip(g.ids, g.inc):
+        lines.append(f'  {n} [size={len(f)}];')
     for i, j in g.edges():
         lines.append(f"  {i} {arrow} {j};")
     lines.append("}")
@@ -66,10 +66,8 @@ def _to_graphml(g: DirectedGraph) -> str:
         '  <key id="size" for="node" attr.name="size" attr.type="int"/>',
         f'  <graph id="G" edgedefault="{default}">',
     ]
-    for n in g.ids:
-        lines.append(
-            f'    <node id="n{n}"><data key="size">{g.in_degree(n)}</data></node>'
-        )
+    for n, f in zip(g.ids, g.inc):
+        lines.append(f'    <node id="n{n}"><data key="size">{len(f)}</data></node>')
     for i, j in g.edges():
         lines.append(f'    <edge source="n{i}" target="n{j}"/>')
     lines.append("  </graph>")

@@ -10,7 +10,8 @@ index: ``ids`` holds the node ids sorted ascending, ``pos`` maps each id to
 its position in ``ids``, and ``out[p]`` and ``inc[p]`` are sorted tuples of
 the positions node p follows and is followed by.  Positions follow id
 order, so equal graphs have equal indexes.  The id-level views
-(``nodes``, ``edges``, ``in_degree`` and membership) read the index.
+(``nodes``, ``edges`` and membership) read the index.  The parser's
+:class:`EdgeListParseError` is defined here too.
 """
 
 from __future__ import annotations
@@ -21,9 +22,18 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, KeysView, TextIO
 
-from .errors import EdgeListParseError
-
 log = logging.getLogger(__name__)
+
+
+class EdgeListParseError(ValueError):
+    """Raised when an edge-list CSV row cannot be parsed.
+
+    Carries the 1-based line number of the offending row.
+    """
+
+    def __init__(self, message: str, line_no: int) -> None:
+        super().__init__(f"line {line_no}: {message}")
+        self.line_no = line_no
 
 
 class DirectedGraph:
@@ -108,9 +118,6 @@ class DirectedGraph:
             for q in targets:
                 if self.directed or p < q:
                     yield (ids[p], ids[q])
-
-    def in_degree(self, n: int) -> int:
-        return len(self.inc[self.pos[n]])
 
     def __contains__(self, n: int) -> bool:
         return n in self.pos
