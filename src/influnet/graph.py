@@ -9,8 +9,9 @@ The constructor indexes the graph once, and every algorithm reads that
 index: ``ids`` holds the node ids sorted ascending, ``pos`` maps each id to
 its position in ``ids``, and ``out[p]`` and ``inc[p]`` are sorted tuples of
 the positions node p follows and is followed by.  Positions follow id
-order, so equal graphs have equal indexes.  The id-level views
-(``nodes``, ``edges`` and membership) read the index.  The parser's
+order, so equal graphs have equal indexes.  ``edge_count`` is stored when
+the index is built.  The id-level views (``nodes``, ``edges`` and
+membership) read the index.  The parser's
 :class:`EdgeListParseError` is defined here too.
 """
 
@@ -39,7 +40,7 @@ class EdgeListParseError(ValueError):
 class DirectedGraph:
     """Immutable graph stored as one position index (see the module docstring)."""
 
-    __slots__ = ("ids", "pos", "out", "inc", "directed", "_arc_count")
+    __slots__ = ("ids", "pos", "out", "inc", "directed", "edge_count")
 
     def __init__(
         self,
@@ -94,7 +95,8 @@ class DirectedGraph:
         else:
             self.inc = out
         self.directed = directed
-        self._arc_count = sum(map(len, out))
+        arcs = sum(map(len, out))
+        self.edge_count = arcs if directed else arcs // 2
 
     @property
     def nodes(self) -> KeysView[int]:
@@ -104,12 +106,6 @@ class DirectedGraph:
     @property
     def node_count(self) -> int:
         return len(self.ids)
-
-    @property
-    def edge_count(self) -> int:
-        if self.directed:
-            return self._arc_count
-        return self._arc_count // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges in sorted order; one row per unordered pair when undirected."""

@@ -1,8 +1,9 @@
 """Whole-network structure metrics.
 
 Path statistics are taken over ordered node pairs with a finite directed
-distance; unreachable pairs are skipped rather than penalized.  Clustering
-ignores edge direction.
+distance; unreachable pairs are skipped rather than penalized.  A graph
+with no reachable pair, whatever its node count, has undefined (None)
+path statistics.  Clustering ignores edge direction.
 
 Both run on Python ints used as bitsets over node positions (ids sorted
 ascending).  Distances come from one multi-source bit-parallel BFS (Then
@@ -69,10 +70,8 @@ def _block_sweep(adj: Sequence[Sequence[int]], lo: int, hi: int) -> tuple[int, i
         reach = nxt
 
 
-def _distance_stats(g: DirectedGraph) -> tuple[float, int]:
-    """Average finite pairwise distance and diameter, in one sweep."""
-    if g.node_count < 2:
-        raise ValueError("path statistics need at least 2 nodes")
+def _distance_stats(g: DirectedGraph) -> tuple[float | None, int | None]:
+    """Average finite pairwise distance and diameter, in one sweep; None if no pair is reached."""
     adj = g.out
     total = pairs = diam = 0
     for lo in range(0, len(adj), BLOCK_BITS):
@@ -80,9 +79,7 @@ def _distance_stats(g: DirectedGraph) -> tuple[float, int]:
         total += t
         pairs += p
         diam = max(diam, d)
-    if pairs == 0:
-        raise ValueError("no reachable pairs")
-    return total / pairs, diam
+    return (total / pairs, diam) if pairs else (None, None)
 
 
 def local_clustering(g: DirectedGraph) -> dict[int, float]:
@@ -115,13 +112,10 @@ def average_clustering(g: DirectedGraph) -> float:
 def summarize(g: DirectedGraph) -> NetworkSummary:
     """One-row structural profile of a graph.
 
-    An edgeless graph of two or more nodes has no reachable pair, so its
-    path length and diameter are None (undefined).
+    An edgeless graph has no reachable pair, so its path length and
+    diameter are None (undefined).
     """
-    if g.node_count >= 2 and g.edge_count == 0:
-        apl, diam = None, None
-    else:
-        apl, diam = _distance_stats(g)
+    apl, diam = _distance_stats(g)
     return NetworkSummary(
         node_count=g.node_count,
         edge_count=g.edge_count,

@@ -94,13 +94,12 @@ def recommend(records: Sequence[RankRecord]) -> Recommendation:
     """Pick the winner and say which structural measures it also leads."""
     if not records:
         raise ValueError("no records to recommend from")
-    ordered = sorted(records, key=_rank_key)
-    best = ordered[0]
+    best = min(records, key=_rank_key)
     rationale = {
-        "max_in_degree": best.in_degree == max(r.in_degree for r in ordered),
-        "max_betweenness": best.betweenness == max(r.betweenness for r in ordered),
-        "max_eigenvector": best.eigenvector == max(r.eigenvector for r in ordered),
-        "candidates_considered": len(ordered),
+        "max_in_degree": best.in_degree == max(r.in_degree for r in records),
+        "max_betweenness": best.betweenness == max(r.betweenness for r in records),
+        "max_eigenvector": best.eigenvector == max(r.eigenvector for r in records),
+        "candidates_considered": len(records),
         "days_required": best.days_required,
         "proportion_reached": best.proportion_reached,
     }

@@ -111,11 +111,14 @@ def fw_distances(g: DirectedGraph) -> dict[tuple[int, int], int]:
     }
 
 
-def fw_path_stats(g: DirectedGraph) -> tuple[float, int]:
-    """Average finite path length and diameter from the Floyd-Warshall table."""
+def fw_path_stats(g: DirectedGraph) -> tuple[float | None, int | None]:
+    """Average finite path length and diameter from the Floyd-Warshall table.
+
+    Both are None when no pair is reachable.
+    """
     dists = fw_distances(g)
     if not dists:
-        raise ValueError("no reachable pairs")
+        return None, None
     total = sum(dists.values())
     return total / len(dists), max(dists.values())
 
