@@ -42,8 +42,15 @@ def test_two_node_summary():
     assert s == NetworkSummary(2, 1, 1.0, 0.0, 1, 1)
 
 
-def test_path_stats_undefined_without_reachable_pairs():
-    for nodes in ([1], [1, 2], [1, 2, 3]):
+def test_path_stats_need_two_nodes():
+    # One node has no ordered pair, so its path statistics are undefined.
+    assert metrics._distance_stats(DirectedGraph([], nodes=[1])) == (None, None)
+    assert summarize(DirectedGraph([], nodes=[1])) == NetworkSummary(1, 0, None, 0.0, None, 1)
+
+
+def test_no_reachable_pairs_rejected():
+    # Isolated nodes reach no pair: the sweep leaves both statistics undefined.
+    for nodes in ([1, 2], [1, 2, 3]):
         assert metrics._distance_stats(DirectedGraph([], nodes=nodes)) == (None, None)
 
 
