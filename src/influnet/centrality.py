@@ -39,11 +39,6 @@ from itertools import repeat
 from operator import add
 from typing import BinaryIO, NoReturn
 
-try:
-    from fcntl import F_SETPIPE_SZ, fcntl
-except ImportError:  # not Linux: pipes keep their default size
-    F_SETPIPE_SZ = None
-
 from .graph import DirectedGraph
 
 log = logging.getLogger(__name__)
@@ -55,15 +50,9 @@ MEASURES = ("in_degree", "betweenness", "eigenvector")
 # x86-64 host (Python 3.11), in fresh `influnet centrality` processes on
 # bench/gen.py graphs, two processes beat one at n * arcs = 7.4e6 (874
 # nodes: 0.48-0.50 s against 0.72-0.81 s, medians of 8 pairs) but gave
-# nothing at 0.8e6, 1.9e6, 4.0e6 or 5.4e6.  A worker's pipe is widened to
-# _PIPE_BYTES where the platform allows, so that the worker can run
-# several blocks ahead of the parent's reads.  A block is 64 * n bytes, so
-# that can pay only from about 2,000 nodes, not at paper scale: against the
-# 64-KiB default, the widened pipe won 42 of 66 alternating pairs at 2,000
-# nodes and 19 of 42 at 874 (ROADMAP, Measurements).
+# nothing at 0.8e6, 1.9e6, 4.0e6 or 5.4e6.
 _BLOCK = 8
 _FORK_WORK = 2_000_000
-_PIPE_BYTES = 1 << 20
 
 # A source whose largest shortest-path count reaches _SIGMA_CAP takes the
 # ratio form of the backward pass (_ratio_dependencies): a float holds
@@ -170,7 +159,6 @@ def _betweenness_acc(adj: tuple[tuple[int, ...], ...], processes: int) -> list[f
     try:
         for k in range(1, procs):
             r, w = os.pipe()
-            _widen(w)
             try:
                 pid = os.fork()
             except BaseException:
@@ -200,15 +188,6 @@ def _betweenness_acc(adj: tuple[tuple[int, ...], ...], processes: int) -> list[f
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return acc
-
-
-def _widen(fd: int) -> None:
-    """Ask for a ``_PIPE_BYTES`` pipe buffer; keep the default where refused."""
-    if F_SETPIPE_SZ is not None:
-        try:
-            fcntl(fd, F_SETPIPE_SZ, _PIPE_BYTES)
-        except OSError:
-            pass
 
 
 def _worker(adj: tuple[tuple[int, ...], ...], blocks: list[range], fd: int) -> NoReturn:

@@ -134,8 +134,8 @@ def correlation_matrix(records: Sequence[RankRecord]) -> CorrelationMatrix:
     A column with no variance has no defined correlation with anything,
     itself included; those entries are None rather than a fabricated 0 or 1.
     """
-    if len(records) < 2:
-        raise ValueError("correlation needs at least 2 records")
+    if not records:
+        raise ValueError("correlation needs at least 1 record")
     labels = tuple(f.name for f in fields(RankRecord))
     series = {name: [float(getattr(r, name)) for r in records] for name in labels}
     constant = {name for name, xs in series.items() if min(xs) == max(xs)}

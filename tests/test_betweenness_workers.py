@@ -28,6 +28,14 @@ def assert_no_child_left() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
+def open_fds() -> list[str] | None:
+    """This process's open file descriptors where /proc lists them (Linux), else None."""
+    try:
+        return sorted(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
+
 def whole_range(adj: tuple[tuple[int, ...], ...]) -> list[float]:
     """One kernel call over every source into one row: the bits any process count must give."""
     acc = [0.0] * len(adj)
@@ -74,6 +82,23 @@ def test_unreachable_pairs_and_isolated_node_return_the_one_process_bits():
     assert _betweenness_acc(g.out, 2) == one
     assert _betweenness_acc(g.out, 3) == one
     assert_no_child_left()
+
+
+def test_blocks_larger_than_the_default_pipe_return_the_one_process_bits():
+    # A block of 8 rows of 1,100 float64 is 70,400 bytes, more than the
+    # 64-KiB default pipe holds, so each worker blocks partway through a
+    # block until the parent reads it.
+    n = 1_100
+    assert _BLOCK * n * 8 > 1 << 16
+    arcs = [(v, (v + 1) % n) for v in range(n)]  # a directed ring
+    arcs += [(v, (v + 317) % n) for v in range(0, n, 97)]  # and a few chords
+    g = DirectedGraph(arcs)
+    one = whole_range(g.out)
+    fds = open_fds()
+    assert _betweenness_acc(g.out, 2) == one
+    assert _betweenness_acc(g.out, 3) == one
+    assert_no_child_left()
+    assert open_fds() == fds
 
 
 def test_betweenness_centrality_forks_above_the_work_constant(monkeypatch, caplog):
@@ -135,9 +160,11 @@ def test_worker_dying_mid_run_raises_and_is_reaped(monkeypatch):
         kernel(adj, sources, rows)
 
     monkeypatch.setattr(centrality, "_brandes", dies_on_second_block)
+    fds = open_fds()
     with pytest.raises(RuntimeError, match="exited early"):
         _betweenness_acc(g.out, 2)
     assert_no_child_left()
+    assert open_fds() == fds
 
 
 def test_worker_exception_reaches_stderr_and_raises(monkeypatch, capfd):

@@ -355,6 +355,20 @@ def test_correlate_shape(capsys):
             assert cell == "undefined" or -1.0 <= float(cell) <= 1.0
 
 
+def test_single_candidate_correlates_to_undefined_cells(tmp_path, capsys):
+    # Node 0 leads all three measures, so --k 1 leaves one candidate.
+    path = tmp_path / "star.csv"
+    path.write_text("i,j\n1,0\n2,0\n3,0\n", encoding="utf-8")
+    assert main(["correlate", "--input", str(path), "--k", "1"]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report"
+    assert main(["pipeline", "--input", str(path), "--k", "1", "--out", str(out)]) == 0
+    assert (out / "correlation.csv").read_text(encoding="utf-8") == printed
+    rows = read_csv(printed)
+    assert len(rows) == 9
+    assert all(cell == "undefined" for row in rows[1:] for cell in row[1:])
+
+
 def test_baseline_gnp(capsys):
     rc = main([
         "baseline", "--input", str(FIXTURE), "--p", "0.3", "--seed", "4",

@@ -178,10 +178,13 @@ def test_correlation_constant_column_is_undefined():
     assert cell(m, "node", "out_degree") == pytest.approx(1.0, abs=1e-12)
 
 
-def test_correlation_needs_two_records():
-    rng = random.Random(101)
-    with pytest.raises(ValueError, match="at least 2"):
-        correlation_matrix([make_record(rng, 1)])
+def test_correlation_of_one_record_is_all_undefined():
+    # With one record every column is constant, so no cell is defined.
+    m = correlation_matrix([make_record(random.Random(101), 1)])
+    assert m.labels == RANK_LABELS
+    assert m.values == ((None,) * len(RANK_LABELS),) * len(RANK_LABELS)
+    with pytest.raises(ValueError, match="at least 1 record"):
+        correlation_matrix([])
 
 
 def test_correlation_csv_labels_and_undefined_cells():
