@@ -17,10 +17,8 @@ from .centrality import (
 )
 from .cli import main
 from .diffusion import (
-    DiffusionConfig,
     DiffusionTrace,
     linear_threshold_run,
-    spreading_capacity,
     spreading_score,
     threshold_sweep,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "CentralityTable",
     "ConvergenceError",
     "CorrelationMatrix",
-    "DiffusionConfig",
     "DiffusionTrace",
     "DirectedGraph",
     "EdgeListParseError",
@@ -78,7 +75,6 @@ __all__ = [
     "recommend",
     "select_candidates",
     "small_world_sigma",
-    "spreading_capacity",
     "spreading_score",
     "summarize",
     "threshold_sweep",

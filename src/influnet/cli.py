@@ -62,8 +62,7 @@ def _rank(
     """The centrality table, and the ranked cascades of its top-k candidates."""
     table = centrality.full_table(g, tol=args.tol, max_iter=args.max_iter)
     candidates = ranking.select_candidates(table, args.k)
-    config = diffusion.DiffusionConfig(theta=args.theta, max_days=args.days)
-    return table, ranking.rank_candidates(g, candidates, config, table)
+    return table, ranking.rank_candidates(g, candidates, table, args.theta, args.days)
 
 
 def _stats_report(g: DirectedGraph, core: DirectedGraph, fmt: str) -> str:
@@ -145,8 +144,9 @@ def _cmd_export(args: argparse.Namespace) -> None:
 def _cmd_pipeline(args: argparse.Namespace) -> None:
     """Execute the full analysis and write the report directory.
 
-    Everything is computed before anything is written, so a failure never
-    leaves a half-finished report behind.
+    Every report is computed before the first file is written, so a failed
+    analysis stage writes nothing.  A failed write (exit 2) can leave the
+    files written before it behind.
     """
     g = _read_graph(args)
     core = largest_core(g)

@@ -7,6 +7,11 @@ set after flipping every arc.  Days advance synchronously: each day every
 inactive account adopts when the adopted fraction of the accounts it
 follows reaches the threshold, judged against yesterday's state.  A node
 only ever flips to active, never back.
+
+Every cascade takes the threshold ``theta`` in [0, 1] and the day cap
+``max_days`` >= 1 as plain arguments, checked on each call.  A trace's
+score is ``spreading_score(trace.proportion_reached, trace.saturation_day)``;
+that function holds the one score formula.
 """
 
 from __future__ import annotations
@@ -15,18 +20,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graph import DirectedGraph
-
-
-@dataclass(frozen=True)
-class DiffusionConfig:
-    theta: float = 0.1
-    max_days: int = 15
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must be in [0, 1], got {self.theta}")
-        if self.max_days < 1:
-            raise ValueError("max_days must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -63,13 +56,17 @@ class DiffusionTrace:
 
 
 def linear_threshold_run(
-    g: DirectedGraph, seed: int, config: DiffusionConfig
+    g: DirectedGraph, seed: int, theta: float, max_days: int = 15
 ) -> DiffusionTrace:
-    """Run one cascade from ``seed`` until a day adds nobody or days run out.
+    """Run one cascade from ``seed`` until a day adds nobody or ``max_days`` pass.
 
     A node adopts once at least one account it follows is active and the
-    active fraction of the accounts it follows is at least theta.
+    active fraction of the accounts it follows is at least ``theta``.
     """
+    if not 0.0 <= theta <= 1.0:  # NaN fails too
+        raise ValueError(f"theta must be in [0, 1], got {theta}")
+    if max_days < 1:
+        raise ValueError("max_days must be >= 1")
     if seed not in g:
         raise ValueError(f"seed {seed} is not a node of the graph")
     start = g.pos[seed]
@@ -77,23 +74,21 @@ def linear_threshold_run(
     exposed: dict[int, int] = {}
     counts = [1]
     newly: Iterable[int] = (start,)
-    for _ in range(config.max_days):
+    for _ in range(max_days):
         touched: set[int] = set()
         for u in newly:
             for v in g.inc[u]:
                 if v not in active:
                     exposed[v] = exposed.get(v, 0) + 1
                     touched.add(v)
-        newly = [
-            v for v in touched if exposed[v] / len(g.out[v]) >= config.theta
-        ]
+        newly = [v for v in touched if exposed[v] / len(g.out[v]) >= theta]
         active.update(newly)
         counts.append(len(active))
         if not newly:
             break
     return DiffusionTrace(
         seed=seed,
-        theta=config.theta,
+        theta=theta,
         active_counts=tuple(counts),
         population=g.node_count,
     )
@@ -112,10 +107,6 @@ def spreading_score(proportion_reached: float, saturation_day: int) -> float:
     return 100.0 * proportion_reached / max(saturation_day, 1)
 
 
-def spreading_capacity(trace: DiffusionTrace) -> float:
-    return spreading_score(trace.proportion_reached, trace.saturation_day)
-
-
 DEFAULT_THETAS = (0.01, 0.05, 0.1, 0.2)
 
 
@@ -128,7 +119,4 @@ def threshold_sweep(
     """Repeat one seed's cascade across a grid of thresholds."""
     if not thetas:
         raise ValueError("thetas must be non-empty")
-    return [
-        linear_threshold_run(g, seed, DiffusionConfig(theta=t, max_days=max_days))
-        for t in thetas
-    ]
+    return [linear_threshold_run(g, seed, t, max_days) for t in thetas]

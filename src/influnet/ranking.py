@@ -1,10 +1,11 @@
 """Candidate shortlisting, spreading-score ranking, and the final pick.
 
 Candidates are the union of the top-k lists by follower count,
-betweenness, and eigenvector score.  Each candidate seeds one cascade;
-candidates are then ordered by spreading score with centrality columns as
-tie-breakers.  A correlation matrix over the ranking columns shows which
-structural measures track simulated reach.
+betweenness, and eigenvector score.  Each candidate seeds one cascade at
+the same ``theta`` and ``max_days``; candidates are then ordered by
+spreading score with centrality columns as tie-breakers.  A correlation
+matrix over the ranking columns shows which structural measures track
+simulated reach.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 from .centrality import MEASURES, CentralityTable, top_k
-from .diffusion import DiffusionConfig, linear_threshold_run, spreading_score
+from .diffusion import linear_threshold_run, spreading_score
 from .graph import DirectedGraph
 
 
@@ -58,8 +59,9 @@ def _rank_key(r: RankRecord) -> tuple:
 def rank_candidates(
     g: DirectedGraph,
     candidates: Sequence[int] | set[int],
-    config: DiffusionConfig,
     table: CentralityTable,
+    theta: float,
+    max_days: int = 15,
 ) -> list[RankRecord]:
     """Seed one cascade per candidate and order the results.
 
@@ -73,7 +75,7 @@ def rank_candidates(
     missing = [v for v in pool if v not in g]
     if missing:
         raise ValueError(f"candidate(s) not in graph: {missing[:5]}")
-    traces = [linear_threshold_run(g, v, config) for v in pool]
+    traces = [linear_threshold_run(g, v, theta, max_days) for v in pool]
     records = [
         RankRecord(
             node=v,

@@ -17,7 +17,7 @@ from dataclasses import asdict, astuple, fields
 from typing import Any, Iterable, Sequence
 
 from .centrality import CentralityTable
-from .diffusion import DiffusionTrace, spreading_capacity
+from .diffusion import DiffusionTrace, spreading_score
 from .metrics import NetworkSummary, SmallWorldVerdict
 from .ranking import CorrelationMatrix, RankRecord, Recommendation
 
@@ -107,7 +107,8 @@ def sweep(traces: Iterable[DiffusionTrace], fmt: str) -> str:
     if fmt == "json":
         return render(TRACE_COLUMNS, [
             (tr.seed, tr.theta, list(tr.active_counts), tr.population,
-             tr.saturation_day, tr.proportion_reached, spreading_capacity(tr))
+             tr.saturation_day, tr.proportion_reached,
+             spreading_score(tr.proportion_reached, tr.saturation_day))
             for tr in traces
         ], fmt)
     return render(DAY_COLUMNS, [

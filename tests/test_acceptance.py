@@ -12,7 +12,6 @@ import random
 import statistics
 
 from influnet import (
-    DiffusionConfig,
     DiffusionTrace,
     NetworkSummary,
     RankRecord,
@@ -22,7 +21,6 @@ from influnet import (
     gnp_random,
     linear_threshold_run,
     small_world_sigma,
-    spreading_capacity,
     spreading_score,
     summarize,
     watts_strogatz,
@@ -65,13 +63,13 @@ def test_c1_score_arithmetic():
     counts1 = (1, 10, 40, 80, 130, 190, 250, 310, 363, 363)
     tr1 = DiffusionTrace(seed=20, theta=0.1, active_counts=counts1, population=610)
     assert tr1.saturation_day == 8
-    err1 = abs(spreading_capacity(tr1) - 7.438525)
+    err1 = abs(spreading_score(tr1.proportion_reached, tr1.saturation_day) - 7.438525)
     err1_rounded = abs(spreading_score(0.595082, 8) - 7.438525)
 
     counts2 = (1, 30, 60, 95, 130, 165, 200, 240, 280, 320, 355, 389, 389)
     tr2 = DiffusionTrace(seed=314, theta=0.1, active_counts=counts2, population=610)
     assert tr2.saturation_day == 11
-    err2 = abs(spreading_capacity(tr2) - 5.797317)
+    err2 = abs(spreading_score(tr2.proportion_reached, tr2.saturation_day) - 5.797317)
 
     ok = err1 <= 1e-6 and err1_rounded <= 1e-6 and err2 <= 1e-6
     assert record_verdict(
@@ -160,7 +158,7 @@ def test_c4_diffusion_oracle_and_monotonicity():
         seed = rng.choice(sorted(g.nodes))
         theta = rng.choice(grid)
         days = rng.choice([5, 15, 60])
-        tr = linear_threshold_run(g, seed, DiffusionConfig(theta=theta, max_days=days))
+        tr = linear_threshold_run(g, seed, theta, days)
         ref = oracle_cascade(g, seed, theta, days)
         if tr.active_counts != tuple(len(s) for s in ref):
             mismatches += 1

@@ -525,6 +525,20 @@ def test_pipeline_failure_leaves_no_partial_report(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_pipeline_failed_write_exits_2_and_keeps_earlier_files(tmp_path, capsys):
+    # Only analysis failures write nothing; the writes themselves are not all-or-none.
+    out = tmp_path / "report"
+    (out / "rank.csv").mkdir(parents=True)
+    assert main(["pipeline", "--input", str(FIXTURE), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+        f"error: [Errno 21] Is a directory: '{out / 'rank.csv'}'"
+    ]
+    assert "Traceback" not in err
+    assert (out / "summary.csv").read_bytes() == (GOLDEN_DIR / "summary.csv").read_bytes()
+    assert (out / "centrality.csv").is_file()
+
+
 @pytest.mark.parametrize("region", [[], ["--full-network"]])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_pipeline_files_are_the_subcommand_reports(fmt, region, tmp_path, capsys):

@@ -10,7 +10,6 @@ import pytest
 
 from influnet import (
     CentralityTable,
-    DiffusionConfig,
     DirectedGraph,
     RankRecord,
     correlation_matrix,
@@ -63,7 +62,7 @@ def test_rank_prefers_larger_audience():
     edges = [(1, 10), (2, 10), (3, 10), (4, 10), (1, 11), (2, 11)]
     g = DirectedGraph(edges)
     t = full_table(g)
-    records = rank_candidates(g, [10, 11], DiffusionConfig(theta=0.4), t)
+    records = rank_candidates(g, [10, 11], t, 0.4)
     assert [r.node for r in records] == [10, 11]
     assert records[0].proportion_reached > records[1].proportion_reached
     assert records[0].in_degree == 4
@@ -72,7 +71,7 @@ def test_rank_prefers_larger_audience():
 def test_rank_breaks_total_ties_by_node_id():
     g = DirectedGraph([(1, 2), (2, 1)])
     t = full_table(g)
-    records = rank_candidates(g, [1, 2], DiffusionConfig(theta=0.5), t)
+    records = rank_candidates(g, [1, 2], t, 0.5)
     assert [r.node for r in records] == [1, 2]
     assert records[0].score == records[1].score
 
@@ -81,26 +80,25 @@ def test_rank_records_satisfy_score_identity():
     # 2-cycle and 3-cycle share node 1, keeping the spectrum aperiodic.
     g = DirectedGraph([(1, 2), (2, 1), (3, 2), (2, 4), (4, 1)])
     t = full_table(g)
-    for r in rank_candidates(g, sorted(g.nodes), DiffusionConfig(theta=0.3), t):
+    for r in rank_candidates(g, sorted(g.nodes), t, 0.3):
         assert r.score == spreading_score(r.proportion_reached, r.days_required)
 
 
 def test_rank_candidate_order_does_not_change_records():
     g = DirectedGraph([(1, 2), (2, 1), (3, 2), (2, 4), (4, 1), (5, 4), (5, 2)])
     t = full_table(g)
-    config = DiffusionConfig(theta=0.25)
-    ranked = rank_candidates(g, sorted(g.nodes), config, t)
-    assert rank_candidates(g, [5, 3, 1, 4, 2, 3], config, t) == ranked
-    assert rank_candidates(g, set(g.nodes), config, t) == ranked
+    ranked = rank_candidates(g, sorted(g.nodes), t, 0.25)
+    assert rank_candidates(g, [5, 3, 1, 4, 2, 3], t, 0.25) == ranked
+    assert rank_candidates(g, set(g.nodes), t, 0.25) == ranked
 
 
 def test_rank_validation():
     g = DirectedGraph([(1, 2)])
     t = full_table(g)
     with pytest.raises(ValueError, match="no candidates"):
-        rank_candidates(g, [], DiffusionConfig(), t)
+        rank_candidates(g, [], t, 0.1)
     with pytest.raises(ValueError, match="not in graph"):
-        rank_candidates(g, [99], DiffusionConfig(), t)
+        rank_candidates(g, [99], t, 0.1)
 
 
 def test_record_derives_its_score():
@@ -218,7 +216,7 @@ def test_recommend_reports_which_measures_it_leads():
     edges = [(1, 10), (2, 10), (3, 10), (4, 10), (1, 11), (2, 11)]
     g = DirectedGraph(edges)
     t = full_table(g)
-    records = rank_candidates(g, [10, 11], DiffusionConfig(theta=0.4), t)
+    records = rank_candidates(g, [10, 11], t, 0.4)
     rec = recommend(records)
     assert rec.node == 10
     assert rec.rationale["max_in_degree"] is True

@@ -8,7 +8,6 @@ import re
 import pytest
 
 from influnet import (
-    DiffusionConfig,
     DirectedGraph,
     NetworkSummary,
     RankRecord,
@@ -26,7 +25,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 G = DirectedGraph([(1, 2), (3, 2), (2, 4), (4, 1)])
 TABLE = full_table(G)
-RANKED = rank_candidates(G, [1, 2, 3, 4], DiffusionConfig(theta=0.5), TABLE)
+RANKED = rank_candidates(G, [1, 2, 3, 4], TABLE, 0.5)
 SUMMARY = [("full", NetworkSummary(3, 2, 4 / 3, 0.0, 2, 1))]
 PROPERTY = settings(max_examples=200, derandomize=True, deadline=None, database=None)
 
@@ -34,7 +33,7 @@ REPORTS = {
     "summary": lambda fmt: report.summary(SUMMARY, fmt),
     "baseline": lambda fmt: report.baseline(SUMMARY, [("gnp_p0.1", None)], fmt),
     "centrality": lambda fmt: report.centrality(TABLE, fmt),
-    "sweep": lambda fmt: report.sweep([linear_threshold_run(G, 2, DiffusionConfig())], fmt),
+    "sweep": lambda fmt: report.sweep([linear_threshold_run(G, 2, 0.1)], fmt),
     "rank": lambda fmt: report.rank(RANKED, fmt),
     "correlation": lambda fmt: report.correlation(correlation_matrix(RANKED), fmt),
 }
