@@ -38,13 +38,14 @@ def gnp_random(n: int, p: float, rng_seed: int) -> DirectedGraph:
         # log1p(-1) is undefined; every pair is chosen.
         out = [[*range(i), *range(i + 1, n)] for i in range(n)]
     elif p > 0.0:
-        rng = random.Random(rng_seed)
-        log_q = math.log1p(-p)
+        draw = random.Random(rng_seed).random
+        log1p = math.log1p
+        log_q = log1p(-p)
         last = n * (n - 1) // 2 - 1  # flat index of the final pair (n-2, n-1)
         k = -1  # flat index of the current pair (i, j); (0, 0) stands before (0, 1)
         i = j = 0
         while True:
-            skip = math.log1p(-rng.random()) / log_q
+            skip = log1p(-draw()) / log_q
             # Compared as a float first: a tiny p makes it inf, which int() rejects.
             if skip >= last - k:
                 break

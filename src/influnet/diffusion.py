@@ -9,9 +9,10 @@ follows reaches the threshold, judged against yesterday's state.  A node
 only ever flips to active, never back.
 
 Every cascade takes the threshold ``theta`` in [0, 1] and the day cap
-``max_days`` >= 1 as plain arguments, checked on each call.  A trace's
-score is ``spreading_score(trace.proportion_reached, trace.saturation_day)``;
-that function holds the one score formula.
+``max_days``, an int >= 1, as plain arguments, checked on each call.  A
+trace's score is
+``spreading_score(trace.proportion_reached, trace.saturation_day)``; that
+function holds the one score formula.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ def linear_threshold_run(
     """
     if not 0.0 <= theta <= 1.0:  # NaN fails too
         raise ValueError(f"theta must be in [0, 1], got {theta}")
+    if not isinstance(max_days, int) or isinstance(max_days, bool):
+        raise ValueError(f"max_days must be an int, got {max_days!r}")
     if max_days < 1:
         raise ValueError("max_days must be >= 1")
     if seed not in g:

@@ -234,15 +234,22 @@ def _is_edge_row(row: str) -> bool:
 
 
 def _components(g: DirectedGraph) -> list[list[int]]:
-    """Weak components as sorted position lists, largest first, ties by smallest member."""
+    """Weak components as sorted position lists, largest first, ties by smallest member.
+
+    A directed node's neighbours are its ``out`` and ``inc`` rows.  An
+    undirected row already lists every neighbour (``inc`` is ``out``), so
+    it is walked once: ``row + ()`` is the row itself.
+    """
     seen = [False] * g.node_count
     comps: list[list[int]] = []
+    out = g.out
+    inc = g.inc if g.directed else ((),) * g.node_count
     for s in range(g.node_count):
         if not seen[s]:
             seen[s] = True
             comp = [s]
             for v in comp:  # comp grows while it is walked: a FIFO queue
-                for w in g.out[v] + g.inc[v]:
+                for w in out[v] + inc[v]:
                     if not seen[w]:
                         seen[w] = True
                         comp.append(w)

@@ -11,7 +11,14 @@ et al., "The More the Merrier", VLDB 2014): bit t of ``reach[v]`` is set
 once target t is within the current level of v.  Each level's newly set
 bits are counted with ``int.bit_count``, so distance totals are exact
 integers and the results do not depend on how targets are split into
-blocks of ``BLOCK_BITS``.
+blocks of ``BLOCK_BITS``.  A node whose reach already holds every target
+of its block cannot gain a bit, so its row is carried to the next level
+without OR-ing its out-neighbours' rows.
+
+Clustering takes each node's neighbourhood as the union of its ``out``
+and ``inc`` rows.  On an undirected graph ``inc`` is ``out`` and each
+row already lists the distinct neighbours, so the rows serve as the
+neighbourhoods directly.
 """
 
 from __future__ import annotations
@@ -51,13 +58,14 @@ def _block_sweep(adj: Sequence[Sequence[int]], lo: int, hi: int) -> tuple[int, i
     for t in range(lo, hi):
         reach[t] = 1 << (t - lo)
     seen = hi - lo
+    full = (1 << seen) - 1
     total = pairs = depth = 0
     while True:
         nxt = []
-        for v, outs in enumerate(adj):
-            r = reach[v]
-            for w in outs:
-                r |= reach[w]
+        for r, outs in zip(reach, adj):
+            if r != full:
+                for w in outs:
+                    r |= reach[w]
             nxt.append(r)
         count = sum(map(int.bit_count, nxt))
         gained = count - seen
@@ -90,7 +98,10 @@ def local_clustering(g: DirectedGraph) -> dict[int, float]:
     """
     if g.node_count == 0:
         raise ValueError("empty graph")
-    hoods = [tuple(set(out).union(inc)) for out, inc in zip(g.out, g.inc)]
+    if g.directed:
+        hoods = [tuple(set(out).union(inc)) for out, inc in zip(g.out, g.inc)]
+    else:
+        hoods = g.out
     masks = [sum(1 << u for u in hood) for hood in hoods]
     coeffs: dict[int, float] = {}
     for n, hood, mask in zip(g.ids, hoods, masks):

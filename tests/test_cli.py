@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -379,6 +381,36 @@ def test_baseline_gnp(capsys):
     assert [r[0] for r in rows] == ["network", "actual", "gnp_p0.3"]
     assert rows[2][1] == "12"
     assert "sigma vs gnp_p0.3" in err
+
+
+def _follow_csv_200() -> str:
+    """200 accounts, each following six others drawn with one seeded stream."""
+    rng = random.Random(11)
+    arcs = {(i, j) for i in range(200) for j in rng.sample(range(200), 6) if i != j}
+    return "i,j\n" + "".join(f"{i},{j}\n" for i, j in sorted(arcs))
+
+
+# sha256 of the whole stdout.  Unlike on the 12-node fixture, every random
+# row here has triangles, so each row's clustering, path length, diameter
+# and sigma are pinned as well as the actual row.
+BASELINE_200_DIGESTS = {
+    ("gnp", "csv"): "207a86c78fc9a789bab2a228ab06df4712ec28948e7e85da7b10f99b8c5d9a56",
+    ("gnp", "json"): "4f47d4084acecf99068f4ae770e6c70154c46839507bf5331783b6a113520a5c",
+    ("watts_strogatz", "csv"): "df43e6e1360b50b2cf2b5775b4c549ce1b14b70d3ddf12093269023b319dadc2",
+    ("watts_strogatz", "json"): "acec032cd61124af49d337917df6f5a843c5739967c84dc7f3d92a74dd112375",
+}
+
+
+@pytest.mark.parametrize("model, fmt", sorted(BASELINE_200_DIGESTS))
+def test_baseline_report_bytes_on_200_accounts(model, fmt, tmp_path, capsys):
+    path = tmp_path / "follows.csv"
+    path.write_text(_follow_csv_200(), encoding="utf-8")
+    assert main(["baseline", "--input", str(path), "--model", model, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "csv":
+        assert all(float(r[4]) > 0 for r in read_csv(out)[1:])  # avg_clustering
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == BASELINE_200_DIGESTS[model, fmt]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -131,6 +131,9 @@ def test_config_validation():
         (-0.1, 15, "theta must be in"),
         (math.nan, 15, "theta must be in"),
         (0.1, 0, "max_days must be >= 1"),
+        (0.1, 2.5, "max_days must be an int"),
+        (0.1, "3", "max_days must be an int"),
+        (0.1, True, "max_days must be an int"),
     ]:
         with pytest.raises(ValueError, match=message):
             linear_threshold_run(g, 2, theta, days)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -183,6 +184,72 @@ def test_path_stats_on_undirected_baselines(monkeypatch):
         assert s.diameter == diam
         ref = oracle_clustering(g)
         assert local_clustering(g) == ref
+
+
+def _union_find_count(g: DirectedGraph) -> int:
+    """Weak components by merging the ends of every arc."""
+    parent = list(range(g.node_count))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p, targets in enumerate(g.out):
+        for q in targets:
+            parent[find(p)] = find(q)
+    return sum(find(x) == x for x in range(g.node_count))
+
+
+@functools.cache
+def _kernel_corpus():
+    """Seeded graphs with their Floyd-Warshall path stats, oracle clustering and component count.
+
+    Undirected G(n, p) and Watts-Strogatz graphs (edgeless, sparse and so
+    disconnected, dense and so saturating early), a disjoint union of the
+    two, and directed random graphs.
+    """
+    rng = random.Random(53)
+    graphs = [gnp_random(2, 0.0, 0), gnp_random(60, 0.0, 0), gnp_random(2, 0.6, 1)]
+    for _ in range(12):
+        n = rng.randint(2, 60)
+        graphs.append(gnp_random(n, rng.choice((0.02, 0.05, 0.1, 0.3, 0.6)), rng.randrange(1000)))
+    for _ in range(8):
+        n = rng.randint(5, 60)
+        graphs.append(watts_strogatz(n, rng.choice((2, 4)), rng.choice((0.0, 0.1, 0.6)),
+                                     rng.randrange(1000)))
+    a, b = gnp_random(20, 0.3, 1), watts_strogatz(15, 4, 0.1, 2)
+    shifted = [(i + 20, j + 20) for i, j in b.edges()]
+    graphs.append(DirectedGraph([*a.edges(), *shifted], nodes=range(35), directed=False))
+    for _ in range(8):
+        graphs.append(random_digraph(rng, rng.randint(2, 30), rng.choice((0.05, 0.15, 0.4))))
+    return [(g, fw_path_stats(g), oracle_clustering(g), _union_find_count(g)) for g in graphs]
+
+
+@pytest.mark.parametrize("block", [1, 3, 8, metrics.BLOCK_BITS])
+def test_structure_kernels_equal_oracles(monkeypatch, block):
+    monkeypatch.setattr(metrics, "BLOCK_BITS", block)
+    corpus = _kernel_corpus()
+    # The corpus covers what the kernels special-case.
+    assert any(not g.directed and comps > 1 for g, _, _, comps in corpus)
+    assert any(g.directed for g, _, _, _ in corpus)
+    for g, stats, clustering, comps in corpus:
+        assert metrics._distance_stats(g) == stats
+        assert local_clustering(g) == clustering
+        assert summarize(g).component_count == comps
+
+
+def test_saturation_is_judged_per_block(monkeypatch):
+    # Paths 0-1-2 and 3-4-5-6 in blocks of three targets.  Node 0 reaches
+    # all of block {0, 1, 2} at level 2, after holding only {0, 1}, and
+    # never any of block {3, 4, 5}; node 6 fills block {3, 4, 5} only at
+    # level 3 and holds block {6} from the start.
+    monkeypatch.setattr(metrics, "BLOCK_BITS", 3)
+    g = DirectedGraph([(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)], directed=False)
+    # Ordered-pair distances: 8 over 6 pairs on the first path, 20 over 12 on the second.
+    assert metrics._distance_stats(g) == fw_path_stats(g) == (28 / 18, 3)
+    assert summarize(g).component_count == 2
 
 
 def test_path_stats_errors_survive_small_blocks(monkeypatch):
