@@ -1,9 +1,9 @@
 """Seeded undirected reference graphs.
 
 Both generators draw from ``random.Random``, whose Mersenne Twister
-stream is identical on every platform, so a (spec, seed) pair names one
-reproducible graph.  Node pairs are visited in lexicographic order and
-every random decision happens in that fixed order.
+stream is identical on every platform, and make every random decision in
+a fixed order, so a (spec, seed) pair names one reproducible graph.  Both
+build sorted neighbour rows on ids 0..n-1 straight into the position index.
 
 G(n, p) skips geometrically from one chosen pair to the next instead of
 tossing a coin per pair (Batagelj & Brandes, "Efficient generation of
@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graph import DirectedGraph
+from .graph import DirectedGraph, _from_index
 
 
 def gnp_random(n: int, p: float, rng_seed: int) -> DirectedGraph:
@@ -57,9 +57,7 @@ def gnp_random(n: int, p: float, rng_seed: int) -> DirectedGraph:
                 j -= n - i - 1  # row i holds the pairs (i, i+1) .. (i, n-1)
             out[i].append(j)
             out[j].append(i)
-    g = DirectedGraph.__new__(DirectedGraph)
-    g._set_index(dict(zip(range(n), range(n))), tuple(map(tuple, out)), directed=False)
-    return g
+    return _from_index(dict(zip(range(n), range(n))), tuple(map(tuple, out)), directed=False)
 
 
 def watts_strogatz(n: int, k: int, p_rewire: float, rng_seed: int) -> DirectedGraph:
@@ -76,13 +74,9 @@ def watts_strogatz(n: int, k: int, p_rewire: float, rng_seed: int) -> DirectedGr
     if k >= n:
         raise ValueError(f"k must be smaller than n, got k={k} n={n}")
     rng = random.Random(rng_seed)
-    nbrs: dict[int, set[int]] = {i: set() for i in range(n)}
-    for j in range(1, k // 2 + 1):
-        for i in range(n):
-            w = (i + j) % n
-            nbrs[i].add(w)
-            nbrs[w].add(i)
-    for j in range(1, k // 2 + 1):
+    half = k // 2
+    nbrs = [{(i + j) % n for j in range(-half, half + 1) if j} for i in range(n)]
+    for j in range(1, half + 1):
         for i in range(n):
             old = (i + j) % n
             if rng.random() >= p_rewire:
@@ -100,8 +94,8 @@ def watts_strogatz(n: int, k: int, p_rewire: float, rng_seed: int) -> DirectedGr
             nbrs[old].remove(i)
             nbrs[i].add(w)
             nbrs[w].add(i)
-    edges = [(i, w) for i in range(n) for w in nbrs[i] if i < w]
-    return DirectedGraph(edges, nodes=range(n), directed=False)
+    rows = tuple(map(tuple, map(sorted, nbrs)))
+    return _from_index(dict(zip(range(n), range(n))), rows, directed=False)
 
 
 @dataclass(frozen=True)

@@ -219,7 +219,10 @@ def _node_id(text: str) -> int:
     """An argparse type: ASCII decimal digits, as in the CSV; int() also reads "+1" and "0_1"."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected decimal digits, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError as exc:  # more digits than the int-string limit
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_solver(p: argparse.ArgumentParser) -> None:

@@ -5,14 +5,14 @@ follows account j.  The container is immutable once built.  Undirected
 graphs reuse the same storage with a symmetric arc set and report each
 unordered pair as a single edge.
 
-The constructor indexes the graph once, and every algorithm reads that
-index: ``ids`` holds the node ids sorted ascending, ``pos`` maps each id to
-its position in ``ids``, and ``out[p]`` and ``inc[p]`` are sorted tuples of
-the positions node p follows and is followed by.  Positions follow id
-order, so equal graphs have equal indexes.  ``edge_count`` is stored when
-the index is built.  The id-level views (``nodes``, ``edges`` and
-membership) read the index.  The parser's
-:class:`EdgeListParseError` is defined here too.
+The graph is indexed once, and every algorithm reads that index: ``ids``
+holds the node ids sorted ascending, ``pos`` maps each id to its position
+in ``ids``, and ``out[p]`` and ``inc[p]`` are sorted tuples of the
+positions node p follows and is followed by.  Positions follow id order,
+so equal graphs have equal indexes; ``nodes``, ``edges`` and membership
+read them.  The constructor validates outside input; a graph derived from
+rows already in index form (the core, the random baselines) is adopted
+unchecked by the one builder ``_from_index``.
 """
 
 from __future__ import annotations
@@ -134,6 +134,15 @@ class DirectedGraph:
         return f"<DirectedGraph {kind} nodes={self.node_count} edges={self.edge_count}>"
 
 
+def _from_index(
+    pos: dict[int, int], out: tuple[tuple[int, ...], ...], directed: bool
+) -> DirectedGraph:
+    """The graph adopting an index valid by construction, as ``_set_index`` requires."""
+    g = DirectedGraph.__new__(DirectedGraph)
+    g._set_index(pos, out, directed)
+    return g
+
+
 def _check_node(n: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"node ids must be non-negative integers, got {n!r}")
@@ -177,20 +186,23 @@ def ingest_edge_csv(source: str | TextIO | Iterable[str]) -> IngestResult:
         raise EdgeListParseError("missing header row", max(line_no, 1))
     edges: list[tuple[int, int]] = []
     loops = 0
-    for line_no, raw in enumerate(lines, start=line_no + 1):
-        row = raw.strip()
-        a, _, b = row.partition(",")
-        # The common row, plain digits on both sides; _fields judges the rest.
-        if not (a.isdigit() and b.isdigit() and row.isascii()):
-            if not row:
+    try:
+        for line_no, raw in enumerate(lines, start=line_no + 1):
+            row = raw.strip()
+            a, _, b = row.partition(",")
+            # The common row, plain digits on both sides; _fields judges the rest.
+            if not (a.isdigit() and b.isdigit() and row.isascii()):
+                if not row:
+                    continue
+                a, b = _fields(row)
+            i = int(a)
+            j = int(b)
+            if i == j:
+                loops += 1
                 continue
-            a, b = _fields(row, line_no)
-        i = int(a)
-        j = int(b)
-        if i == j:
-            loops += 1
-            continue
-        edges.append((i, j))
+            edges.append((i, j))
+    except ValueError as exc:  # from _fields, or int() past the int-string limit
+        raise EdgeListParseError(str(exc), line_no) from None
     # The constructor drops repeated arcs; the graph is directed, so each
     # dropped row is one arc fewer.
     graph = DirectedGraph(edges)
@@ -202,22 +214,18 @@ def ingest_edge_csv(source: str | TextIO | Iterable[str]) -> IngestResult:
     return IngestResult(graph, loops, dupes)
 
 
-def _fields(row: str, line_no: int) -> tuple[str, str]:
-    """The two id fields of a stripped, non-blank row, or the reason it is malformed."""
+def _fields(row: str) -> tuple[str, str]:
+    """The two id fields of a stripped, non-blank row; a ValueError says why it is malformed."""
     parts = row.split(",")
     if len(parts) != 2:
-        raise EdgeListParseError(
-            f"expected 2 comma-separated fields, got {len(parts)}", line_no
-        )
+        raise ValueError(f"expected 2 comma-separated fields, got {len(parts)}")
     a = parts[0].strip()
     b = parts[1].strip()
     # int() alone would also read "+3", "1_0" and non-ASCII digits.
     if not (row.isascii() and a.isdigit() and b.isdigit()):
         if row.isascii() and all(t.removeprefix("-").isdigit() for t in (a, b)):
-            raise EdgeListParseError(f"negative node id in {row!r}", line_no)
-        raise EdgeListParseError(
-            f"node ids must be decimal digits, got {row!r}", line_no
-        )
+            raise ValueError(f"negative node id in {row!r}")
+        raise ValueError(f"node ids must be decimal digits, got {row!r}")
     return a, b
 
 
@@ -226,8 +234,10 @@ def _is_edge_row(row: str) -> bool:
     if len(parts) != 2:
         return False
     try:
-        int(parts[0].strip())
-        int(parts[1].strip())
+        for field in map(str.strip, parts):
+            # Digits alone are an id, however many: int() refuses past the int-string limit.
+            if not (field.isascii() and field.isdigit()):
+                int(field)
     except ValueError:
         return False
     return True
@@ -264,9 +274,7 @@ def _restrict(g: DirectedGraph, kept: list[int]) -> DirectedGraph:
     for k, p in enumerate(kept):
         remap[p] = k
     out = tuple(tuple([r for q in g.out[p] if (r := remap[q]) >= 0]) for p in kept)
-    core = DirectedGraph.__new__(DirectedGraph)
-    core._set_index({g.ids[p]: k for k, p in enumerate(kept)}, out, g.directed)
-    return core
+    return _from_index({g.ids[p]: k for k, p in enumerate(kept)}, out, g.directed)
 
 
 def largest_core(g: DirectedGraph) -> DirectedGraph:

@@ -11,9 +11,12 @@ its rows must equal bit for bit.
 from __future__ import annotations
 
 import random
+import sys
 from collections.abc import Iterable
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from influnet import CorrelationMatrix, DirectedGraph, ingest_edge_csv
 
@@ -29,6 +32,22 @@ def load_fixture() -> DirectedGraph:
 def arc_pairs(g: DirectedGraph) -> set[tuple[int, int]]:
     """Every arc as an (i, j) id pair; both directions of an undirected edge."""
     return {(g.ids[p], g.ids[q]) for p, targets in enumerate(g.out) for q in targets}
+
+
+def assert_constructor_index(g: DirectedGraph, n: int) -> None:
+    """Undirected g on ids 0..n-1 is the graph, index and all, the validating constructor builds."""
+    ref = DirectedGraph(g.edges(), nodes=range(n), directed=False)
+    assert g == ref
+    assert (g.pos, g.inc, g.edge_count) == (ref.pos, ref.inc, ref.edge_count)
+    assert g.inc is g.out
+
+
+def over_int_limit() -> str:
+    """A digit string one longer than int() converts; skips the test when there is no limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit == 0:
+        pytest.skip("int() has no digit limit here")
+    return "7" * (limit + 1)
 
 
 def followees(g: DirectedGraph, v: int) -> list[int]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import statistics
 
@@ -16,7 +17,7 @@ from influnet import (
     to_edge_csv,
     watts_strogatz,
 )
-from helpers import arc_pairs
+from helpers import arc_pairs, assert_constructor_index
 
 
 def test_gnp_extremes():
@@ -92,6 +93,31 @@ def test_ws_validation():
         watts_strogatz(6, 6, 0.1, 0)
     with pytest.raises(ValueError, match="p_rewire"):
         watts_strogatz(10, 4, -0.2, 0)
+
+
+@pytest.mark.parametrize("n", [3, 12, 60])
+def test_ws_builds_the_constructor_index(n):
+    for k in range(2, n, 2):  # every even degree below n
+        for p in (0.0, 0.05, 0.5, 1.0):
+            for seed in range(3):
+                g = watts_strogatz(n, k, p, seed)
+                assert_constructor_index(g, n)
+                assert g.edge_count == n * k // 2
+
+
+# sha256 of to_edge_csv(watts_strogatz(n, k, p, seed)); the first two are
+# the graphs `baseline --model watts_strogatz` builds on the 874-node bench input.
+WS_EDGE_CSV_DIGESTS = {
+    (874, 10, 0.05, 0): "d6eafb372b5c1c4ad6ab2330d8591057e9d8e5c4ab0b513a51c6de0a266968b4",
+    (874, 10, 0.1, 1): "c6fb96f5fa4b0f6b6e08167286b06137a564a14dc8c3c7b89e0513cd3884bc8e",
+    (200, 4, 0.3, 5): "a9123370afceea7805126ca78c64e7c85b4939c8402ccb52ab26daafac1f1258",
+}
+
+
+@pytest.mark.parametrize("args", sorted(WS_EDGE_CSV_DIGESTS))
+def test_ws_edge_csv_bytes_are_pinned(args):
+    text = to_edge_csv(watts_strogatz(*args))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == WS_EDGE_CSV_DIGESTS[args]
 
 
 def test_spec_dispatch():

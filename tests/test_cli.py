@@ -19,7 +19,7 @@ import pytest
 import influnet
 from influnet import metrics
 from influnet.cli import build_parser, main
-from helpers import FIXTURE, GOLDEN_DIR
+from helpers import FIXTURE, GOLDEN_DIR, over_int_limit
 
 REPORT_FILES = (
     "summary.csv",
@@ -225,6 +225,35 @@ def test_parse_error_exits_2(tmp_path, capsys):
     rc = main(["stats", "--input", str(bad)])
     assert rc == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("{id},2\n2,3\n", 1, "missing header row"),
+        ("i,j\n1,2\n{id},2\n", 3, "Exceeds the limit"),
+    ],
+    ids=["headerless", "later-row"],
+)
+def test_id_past_the_int_limit_exits_2_with_its_line(text, line, message, tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    path.write_text(text.format(id=over_int_limit()), encoding="utf-8")
+    assert main(["stats", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: line {line}: {message}")
+
+
+def test_seed_node_past_the_int_limit_exits_1(capsys):
+    long_id = over_int_limit()
+    assert main(["sweep", "--input", str(FIXTURE), "--seed-node", long_id]) == 1
+    err = capsys.readouterr().err
+    errors = [ln for ln in err.splitlines() if "error:" in ln]
+    assert len(errors) == 1
+    assert "argument --seed-node: Exceeds the limit" in errors[0]
+    assert long_id not in err  # argparse's own message would quote the whole id
 
 
 @pytest.mark.parametrize(

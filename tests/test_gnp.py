@@ -7,14 +7,8 @@ from statistics import NormalDist
 
 import pytest
 
-from influnet import DirectedGraph, gnp_random
-
-
-def assert_constructor_index(g: DirectedGraph, n: int) -> None:
-    """g is the graph, index and all, that the validating constructor builds."""
-    ref = DirectedGraph(g.edges(), nodes=range(n), directed=False)
-    assert g == ref
-    assert (g.pos, g.inc, g.edge_count) == (ref.pos, ref.inc, ref.edge_count)
+from influnet import gnp_random
+from helpers import assert_constructor_index
 
 
 @pytest.mark.parametrize("n", [2, 3, 12, 100])

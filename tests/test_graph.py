@@ -15,7 +15,7 @@ from influnet import (
     to_edge_csv,
 )
 from influnet.graph import _components, _restrict
-from helpers import arc_pairs, load_fixture, random_digraph
+from helpers import arc_pairs, load_fixture, over_int_limit, random_digraph
 
 
 def components(g: DirectedGraph) -> list[list[int]]:
@@ -146,6 +146,27 @@ def test_parse_row_rejected(row, message):
         ingest_edge_csv(f"i,j\n1,2\n\n{row}\n2,3\n")
     assert err.value.line_no == 4
     assert str(err.value) == f"line 4: {message}"
+
+
+def test_first_row_with_an_id_past_the_int_limit_is_a_missing_header():
+    long_id = over_int_limit()
+    for first in (f"{long_id},2", f"2,{long_id}", f" {long_id} , {long_id} "):
+        with pytest.raises(EdgeListParseError, match="missing header row") as err:
+            ingest_edge_csv(f"{first}\n2,3\n")
+        assert err.value.line_no == 1
+
+
+def test_id_past_the_int_limit_reports_its_line():
+    long_id = over_int_limit()
+    for row in (f"{long_id},2", f"2,{long_id}", f" {long_id} ,2"):
+        with pytest.raises(EdgeListParseError, match="limit") as err:
+            ingest_edge_csv(f"i,j\n1,2\n{row}\n2,3\n")
+        assert err.value.line_no == 3
+        assert str(err.value).startswith("line 3: ")
+    # An id of exactly the limit's length still converts.
+    at_limit = long_id[1:]
+    g = ingest_edge_csv(f"i,j\n1,{at_limit}\n").graph
+    assert list(g.edges()) == [(1, int(at_limit))]
 
 
 def test_construction_rejects_self_loop():
