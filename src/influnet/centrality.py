@@ -3,9 +3,9 @@
 Betweenness runs over directed shortest paths and is normalized by
 (n - 1)(n - 2), the count of ordered pairs a node could sit between.
 Eigenvector centrality scores flow along influence: an account's score is
-the sum of its followers' scores, iterated to a fixed point under an L2
-norm, and retried on A + I where it oscillates.  Degree columns come
-straight off the adjacency.
+the sum of its followers' scores, iterated under an L2 norm until it
+settles to the fixed tolerance ``_TOL``, and retried on A + I where it
+oscillates.  Degree columns come straight off the adjacency.
 
 Each measure returns a plain ``{node: score}`` dict (``degree_table`` the
 in- and out-degree pair); :func:`full_table` only runs them all and holds
@@ -58,6 +58,13 @@ _FORK_WORK = 2_000_000
 # ratio form of the backward pass (_ratio_dependencies): a float holds
 # counts below 2**1024 only.
 _SIGMA_CAP = 1 << 1000
+
+# Power iteration stops once every score moves by less than _TOL and the
+# residual is below 10 * _TOL.  Reports print 6 decimals.  On the seed-0
+# 874-node bench/gen.py graph, 1e-3 and 1e-6 change the centrality report,
+# 1e-15 gives the same bytes as 1e-10, and at 1e-17 neither plain
+# iteration (stalled at residual 1.78e-15) nor the A + I retry settles.
+_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -289,16 +296,13 @@ def _ratio_dependencies(order: list[int], succs: list[list[int]], sigma: list[in
         acc[w] += t
 
 
-def eigenvector_centrality(
-    g: DirectedGraph,
-    tol: float = 1e-10,
-    max_iter: int = 1000,
-) -> dict[int, float]:
+def eigenvector_centrality(g: DirectedGraph, max_iter: int = 1000) -> dict[int, float]:
     """Dominant-eigenvector scores by power iteration.
 
     Each step replaces a node's score with the sum of its followers'
     scores, then renormalizes to unit L2 norm.  Iteration stops once the
-    largest componentwise change drops below ``tol`` and the vector is an
+    largest componentwise change drops below the fixed tolerance 1e-10,
+    far below the 6 decimals a report prints, and the vector is an
     eigenvector to within a small residual.
 
     If plain iteration does not settle within ``max_iter`` steps, a warning
@@ -321,20 +325,19 @@ def eigenvector_centrality(
     """
     if g.node_count == 0:
         raise ValueError("empty graph")
-    if _acyclic(g):
-        return _power_iteration(g.ids, g.inc, tol, max(max_iter, g.node_count + 1))
+    cap = max(max_iter, g.node_count + 1) if _acyclic(g) else max_iter
     try:
-        return _power_iteration(g.ids, g.inc, tol, max_iter)
+        return _power_iteration(g.ids, g.inc, cap)
     except ConvergenceError as exc:
         log.warning("%s (residual %.3g); retrying with shifted iteration A + I",
                     exc, exc.residual)
     # A + I: every node counts itself as one more follower.
     followers = tuple(f + (k,) for k, f in enumerate(g.inc))
-    return _power_iteration(g.ids, followers, tol, max_iter)
+    return _power_iteration(g.ids, followers, max_iter)
 
 
 def _power_iteration(ids: tuple[int, ...], followers: tuple[tuple[int, ...], ...],
-                     tol: float, max_iter: int) -> dict[int, float]:
+                     max_iter: int) -> dict[int, float]:
     """Iterate x <- M x / |M x| from the uniform start, M[v][u] = 1 for u in followers[v]."""
     n = len(ids)
     x = [1.0 / math.sqrt(n)] * n
@@ -349,7 +352,7 @@ def _power_iteration(ids: tuple[int, ...], followers: tuple[tuple[int, ...], ...
         residual = max(abs(y[k] - lam * x[k]) for k in range(n))
         y = [c / norm for c in y]
         change = max(abs(y[k] - x[k]) for k in range(n))
-        if change < tol and residual < 10.0 * tol:
+        if change < _TOL and residual < 10.0 * _TOL:
             return dict(zip(ids, x))
         x = y
     raise ConvergenceError(
@@ -371,13 +374,9 @@ def _acyclic(g: DirectedGraph) -> bool:
     return len(ready) == g.node_count
 
 
-def full_table(
-    g: DirectedGraph,
-    tol: float = 1e-10,
-    max_iter: int = 1000,
-) -> CentralityTable:
+def full_table(g: DirectedGraph, max_iter: int = 1000) -> CentralityTable:
     """All four measures for one graph."""
-    eig = eigenvector_centrality(g, tol=tol, max_iter=max_iter)
+    eig = eigenvector_centrality(g, max_iter=max_iter)
     in_degree, out_degree = degree_table(g)
     return CentralityTable(in_degree, out_degree, betweenness_centrality(g), eig)
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -60,7 +59,7 @@ def _rank(
     g: DirectedGraph, args: argparse.Namespace
 ) -> tuple[centrality.CentralityTable, list[ranking.RankRecord]]:
     """The centrality table, and the ranked cascades of its top-k candidates."""
-    table = centrality.full_table(g, tol=args.tol, max_iter=args.max_iter)
+    table = centrality.full_table(g, max_iter=args.max_iter)
     candidates = ranking.select_candidates(table, args.k)
     return table, ranking.rank_candidates(g, candidates, table, args.theta, args.days)
 
@@ -82,7 +81,7 @@ def _cmd_stats(args: argparse.Namespace) -> None:
 
 
 def _cmd_centrality(args: argparse.Namespace) -> None:
-    table = centrality.full_table(_region(args), tol=args.tol, max_iter=args.max_iter)
+    table = centrality.full_table(_region(args), max_iter=args.max_iter)
     _emit(report.centrality(table, args.format), args.out)
 
 
@@ -210,9 +209,8 @@ def _checked(cast: type, noun: str, ok: Callable[[Any], bool], requirement: str)
 
 _positive_int = _checked(int, "an integer", lambda v: v >= 1, ">= 1")
 _even_degree = _checked(int, "an integer", lambda v: v >= 2 and v % 2 == 0, "even and >= 2")
-_probability = _checked(float, "a number", lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 # NaN fails every comparison, so it is rejected too.
-_positive_finite = _checked(float, "a number", lambda v: 0.0 < v < math.inf, "positive and finite")
+_probability = _checked(float, "a number", lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
 def _node_id(text: str) -> int:
@@ -227,7 +225,6 @@ def _node_id(text: str) -> int:
 
 def _add_solver(p: argparse.ArgumentParser) -> None:
     """Flags of the subcommands that build the centrality table."""
-    p.add_argument("--tol", type=_positive_finite, default=1e-10, help="eigenvector tolerance")
     p.add_argument(
         "--max-iter", type=_positive_int, default=1000, help="eigenvector iteration cap"
     )

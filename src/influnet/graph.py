@@ -179,7 +179,7 @@ def ingest_edge_csv(source: str | TextIO | Iterable[str]) -> IngestResult:
             row = row.removeprefix("\ufeff")
             if _is_edge_row(row):
                 raise EdgeListParseError(
-                    f"missing header row; first row {row!r} is an edge", line_no
+                    f"missing header row; first row {_quote(row)} is an edge", line_no
                 )
             break
     else:
@@ -224,9 +224,14 @@ def _fields(row: str) -> tuple[str, str]:
     # int() alone would also read "+3", "1_0" and non-ASCII digits.
     if not (row.isascii() and a.isdigit() and b.isdigit()):
         if row.isascii() and all(t.removeprefix("-").isdigit() for t in (a, b)):
-            raise ValueError(f"negative node id in {row!r}")
-        raise ValueError(f"node ids must be decimal digits, got {row!r}")
+            raise ValueError(f"negative node id in {_quote(row)}")
+        raise ValueError(f"node ids must be decimal digits, got {_quote(row)}")
     return a, b
+
+
+def _quote(row: str) -> str:
+    """A row as an error message quotes it: its first 40 characters, with ... where it is cut."""
+    return repr(row) if len(row) <= 40 else f"{row[:40]!r}..."
 
 
 def _is_edge_row(row: str) -> bool:

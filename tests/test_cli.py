@@ -115,7 +115,7 @@ def test_python_m_influnet_runs_the_cli():
 
 _HELP = {"-h": argparse.SUPPRESS, "--help": argparse.SUPPRESS}
 _COMMON = {**_HELP, "--input": None, "--format": "csv", "--out": None}
-_SOLVER = {"--tol": 1e-10, "--max-iter": 1000}
+_SOLVER = {"--max-iter": 1000}
 _RANKING = {
     **_COMMON, "--full-network": False, **_SOLVER, "--k": 10, "--theta": 0.1, "--days": 15,
 }
@@ -149,7 +149,7 @@ def test_flag_surface_is_pinned():
     [
         (["rank", "--theta", "2"], "--theta"),
         (["rank", "--k", "0"], "--k"),
-        (["rank", "--tol", "0"], "--tol"),
+        (["rank", "--max-iter", "0"], "--max-iter"),
         (["rank", "--days", "0"], "--days"),
         (["rank", "--k", "two"], "--k"),
         (["correlate", "--theta", "nan"], "--theta"),
@@ -158,10 +158,10 @@ def test_flag_surface_is_pinned():
         (["sweep", "--days", "0"], "--days"),
         (["baseline", "--p", "1.5"], "--p"),
         (["pipeline", "--days", "0"], "--days"),
-        (["pipeline", "--tol", "inf"], "--tol"),
+        (["pipeline", "--theta", "inf"], "--theta"),
         (["pipeline", "--max-iter", "-3"], "--max-iter"),
-        (["centrality", "--tol", "nan"], "--tol"),
-        (["centrality", "--tol", "-1"], "--tol"),
+        (["centrality", "--max-iter", "1.5"], "--max-iter"),
+        (["correlate", "--days", "-1"], "--days"),
         (["baseline", "--model", "watts_strogatz", "--ws-k", "3"], "--ws-k"),
         (["baseline", "--ws-k", "0"], "--ws-k"),
         (["baseline", "--ws-k", "-2"], "--ws-k"),
@@ -200,6 +200,17 @@ def test_pipeline_seed_flag_is_gone(tmp_path, capsys):
     assert main(["pipeline", "--input", str(FIXTURE), "--seed", "3",
                  "--out", str(tmp_path / "r")]) == 1
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["centrality", "rank", "correlate", "pipeline"])
+def test_tol_flag_is_gone(command, tmp_path, capsys):
+    # The eigenvector solve stops at one fixed tolerance, so there is none to take.
+    out = tmp_path / "out"
+    assert main([command, "--input", str(FIXTURE), "--tol", "1e-6", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "--tol" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_flag_range_boundaries_are_accepted(capsys):
@@ -244,6 +255,26 @@ def test_id_past_the_int_limit_exits_2_with_its_line(text, line, message, tmp_pa
     errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
     assert len(errors) == 1
     assert errors[0].startswith(f"error: line {line}: {message}")
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("{long},2\n2,3\n", 1, "missing header row; first row '777"),
+        ("i,j\n1,2\nx{long},2\n", 3, "node ids must be decimal digits, got 'x777"),
+    ],
+    ids=["headerless", "malformed"],
+)
+def test_long_row_is_quoted_cut_short(text, line, message, tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    path.write_text(text.format(long="7" * 5000), encoding="utf-8")
+    assert main(["stats", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [ln for ln in captured.err.splitlines() if "error:" in ln]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: line {line}: {message}")
+    assert len(errors[0]) < 200
 
 
 def test_seed_node_past_the_int_limit_exits_1(capsys):

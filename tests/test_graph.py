@@ -137,6 +137,10 @@ REJECTED_ROWS = [
     ("+1,2", "node ids must be decimal digits, got '+1,2'"),
     ("1_0,2", "node ids must be decimal digits, got '1_0,2'"),
     ("١,2", "node ids must be decimal digits, got '١,2'"),
+    # A row is quoted whole up to 40 characters, and cut to 40 past that.
+    ("x" * 38 + ",2", f"node ids must be decimal digits, got '{'x' * 38},2'"),
+    ("x" * 39 + ",2", f"node ids must be decimal digits, got '{'x' * 39},'..."),
+    ("-" + "1" * 40 + ",2", f"negative node id in '-{'1' * 39}'..."),
 ]
 
 
