@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .graph import DirectedGraph, _from_index
 
@@ -98,21 +98,35 @@ def watts_strogatz(n: int, k: int, p_rewire: float, rng_seed: int) -> DirectedGr
     return _from_index(dict(zip(range(n), range(n))), rows, directed=False)
 
 
-@dataclass(frozen=True)
-class RandomGraphSpec:
-    """Recipe naming one reproducible baseline graph."""
-
+class _SpecFields(NamedTuple):
     model: str
     n: int
     p: float
     rng_seed: int
     k: int | None = None
 
-    def __post_init__(self) -> None:
+
+class RandomGraphSpec(_SpecFields):
+    """Recipe naming one reproducible baseline graph.
+
+    The model is checked however the record is built: by the constructor,
+    ``_make`` or ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> RandomGraphSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.model not in ("gnp", "watts_strogatz"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.model == "watts_strogatz" and self.k is None:
             raise ValueError("watts_strogatz needs k")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> RandomGraphSpec:
+        # The inherited _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
 
 def generate(spec: RandomGraphSpec) -> DirectedGraph:

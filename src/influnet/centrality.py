@@ -34,10 +34,9 @@ import threading
 import traceback
 from array import array
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add
-from typing import BinaryIO, NoReturn
+from typing import BinaryIO, NamedTuple, NoReturn
 
 from .graph import DirectedGraph
 
@@ -80,8 +79,7 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class CentralityTable:
+class CentralityTable(NamedTuple):
     """The four per-node score columns of one graph, keyed by node id."""
 
     in_degree: dict[int, int]

@@ -17,30 +17,44 @@ function holds the one score formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph import DirectedGraph
 
 
-@dataclass(frozen=True)
-class DiffusionTrace:
-    """Active-count history of one seeded run; index 0 is seeding day."""
-
+class _TraceFields(NamedTuple):
     seed: int
     theta: float
     active_counts: tuple[int, ...]
     population: int
 
-    def __post_init__(self) -> None:
+
+class DiffusionTrace(_TraceFields):
+    """Active-count history of one seeded run; index 0 is seeding day.
+
+    The counts are checked however the record is built: by the
+    constructor, ``_make`` or ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> DiffusionTrace:
+        self = super().__new__(cls, *args, **kwargs)
+        counts = self.active_counts
         if self.population < 1:
             raise ValueError("population must be >= 1")
-        if not self.active_counts or self.active_counts[0] != 1:
+        if not counts or counts[0] != 1:
             raise ValueError("a trace starts with the lone seed on day 0")
-        if any(b < a for a, b in zip(self.active_counts, self.active_counts[1:])):
+        if any(b < a for a, b in zip(counts, counts[1:])):
             raise ValueError("active counts cannot decrease")
-        if self.active_counts[-1] > self.population:
+        if counts[-1] > self.population:
             raise ValueError("active count exceeds population")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> DiffusionTrace:
+        # The inherited _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
     @property
     def final_active(self) -> int:

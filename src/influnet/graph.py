@@ -20,8 +20,7 @@ from __future__ import annotations
 import io
 import logging
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Iterator, KeysView, TextIO
+from typing import Iterable, Iterator, KeysView, NamedTuple, TextIO
 
 log = logging.getLogger(__name__)
 
@@ -148,8 +147,7 @@ def _check_node(n: int) -> None:
         raise ValueError(f"node ids must be non-negative integers, got {n!r}")
 
 
-@dataclass(frozen=True)
-class IngestResult:
+class IngestResult(NamedTuple):
     """Parsed graph plus counters for rows that were silently repaired."""
 
     graph: DirectedGraph

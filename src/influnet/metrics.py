@@ -18,14 +18,16 @@ without OR-ing its out-neighbours' rows.
 Clustering takes each node's neighbourhood as the union of its ``out``
 and ``inc`` rows.  On an undirected graph ``inc`` is ``out`` and each
 row already lists the distinct neighbours, so the rows serve as the
-neighbourhoods directly.
+neighbourhoods directly.  The projection is symmetric, so each projected
+edge {v, u} is met from its lower end only: the common neighbours of v
+and u are counted once and the count is added to both ends' link totals.
+The totals are the same integers as counting from both ends.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graph import DirectedGraph, _components
 
@@ -34,8 +36,7 @@ from .graph import DirectedGraph, _components
 BLOCK_BITS = 4096
 
 
-@dataclass(frozen=True)
-class NetworkSummary:
+class NetworkSummary(NamedTuple):
     node_count: int
     edge_count: int
     average_path_length: float | None  # None: no pair is reachable
@@ -44,8 +45,7 @@ class NetworkSummary:
     component_count: int
 
 
-@dataclass(frozen=True)
-class SmallWorldVerdict:
+class SmallWorldVerdict(NamedTuple):
     sigma: float
     clustering_ratio: float
     path_length_ratio: float
@@ -102,15 +102,25 @@ def local_clustering(g: DirectedGraph) -> dict[int, float]:
         hoods = [tuple(set(out).union(inc)) for out, inc in zip(g.out, g.inc)]
     else:
         hoods = g.out
-    masks = [sum(1 << u for u in hood) for hood in hoods]
+    masks = []
+    for hood in hoods:
+        mask = 0
+        for u in hood:
+            mask |= 1 << u
+        masks.append(mask)
+    links2 = [0] * len(hoods)
+    for v, (hood, mask) in enumerate(zip(hoods, masks)):
+        own = 0
+        for u in hood:
+            if u > v:
+                common = (mask & masks[u]).bit_count()
+                own += common
+                links2[u] += common
+        links2[v] += own
     coeffs: dict[int, float] = {}
-    for n, hood, mask in zip(g.ids, hoods, masks):
+    for n, hood, links in zip(g.ids, hoods, links2):
         k = len(hood)
-        if k < 2:
-            coeffs[n] = 0.0
-            continue
-        links2 = sum((mask & masks[u]).bit_count() for u in hood)
-        coeffs[n] = links2 / (k * (k - 1))
+        coeffs[n] = links / (k * (k - 1)) if k >= 2 else 0.0
     return coeffs
 
 

@@ -11,17 +11,15 @@ simulated reach.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .centrality import MEASURES, CentralityTable, top_k
 from .diffusion import linear_threshold_run, spreading_score
 from .graph import DirectedGraph
 
 
-@dataclass(frozen=True)
-class RankRecord:
-    """One candidate's centrality profile and cascade; the score is derived."""
+class RankRecord(NamedTuple):
+    """One candidate's centrality profile and cascade; the score is derived on each read."""
 
     node: int
     in_degree: int
@@ -30,15 +28,13 @@ class RankRecord:
     betweenness: float
     days_required: int
     proportion_reached: float
-    score: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        score = spreading_score(self.proportion_reached, self.days_required)
-        object.__setattr__(self, "score", score)
+    @property
+    def score(self) -> float:
+        return spreading_score(self.proportion_reached, self.days_required)
 
 
-@dataclass(frozen=True)
-class Recommendation:
+class Recommendation(NamedTuple):
     node: int
     score: float
     rationale: dict
@@ -108,8 +104,7 @@ def recommend(records: Sequence[RankRecord]) -> Recommendation:
     return Recommendation(node=best.node, score=best.score, rationale=rationale)
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(NamedTuple):
     """Pearson coefficients over rank columns; None marks 0/0 cases."""
 
     labels: tuple[str, ...]
@@ -138,7 +133,7 @@ def correlation_matrix(records: Sequence[RankRecord]) -> CorrelationMatrix:
     """
     if not records:
         raise ValueError("correlation needs at least 1 record")
-    labels = tuple(f.name for f in fields(RankRecord))
+    labels = (*RankRecord._fields, "score")
     series = {name: [float(getattr(r, name)) for r in records] for name in labels}
     constant = {name for name, xs in series.items() if min(xs) == max(xs)}
     rows: list[tuple[float | None, ...]] = []

@@ -13,7 +13,6 @@ and ``correlation`` have a JSON shape of their own.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, astuple, fields
 from typing import Any, Iterable, Sequence
 
 from .centrality import CentralityTable
@@ -23,7 +22,7 @@ from .ranking import CorrelationMatrix, RankRecord, Recommendation
 
 UNDEFINED = "undefined"
 
-# A summary or verdict row is its label, then the dataclass's fields in order.
+# A summary or verdict row is its label, then the record's fields in order.
 SUMMARY_COLUMNS = (
     "network", "nodes", "edges", "avg_path_length", "avg_clustering", "diameter", "components",
 )
@@ -33,7 +32,8 @@ DAY_COLUMNS = ("seed", "theta", "day", "active_count", "proportion")
 TRACE_COLUMNS = (
     "seed", "theta", "active_counts", "population", "saturation_day", "proportion_reached", "score",
 )
-RANK_COLUMNS = tuple(f.name for f in fields(RankRecord))
+# A rank row is the record's fields in order, then its derived score.
+RANK_COLUMNS = (*RankRecord._fields, "score")
 
 
 def _rounded(v: Any) -> Any:
@@ -73,7 +73,7 @@ def render(columns: Sequence[str], rows: Iterable[tuple], fmt: str) -> str:
 
 def summary(rows: Iterable[tuple[str, NetworkSummary]], fmt: str) -> str:
     """One row per ``(label, summary)`` pair."""
-    return render(SUMMARY_COLUMNS, [(label, *astuple(s)) for label, s in rows], fmt)
+    return render(SUMMARY_COLUMNS, [(label, *s) for label, s in rows], fmt)
 
 
 def baseline(
@@ -86,9 +86,9 @@ def baseline(
         return summary(rows, fmt)
     blank = (None,) * (len(VERDICT_COLUMNS) - 1)
     return _json({
-        "summaries": _records(SUMMARY_COLUMNS, [(label, *astuple(s)) for label, s in rows]),
+        "summaries": _records(SUMMARY_COLUMNS, [(label, *s) for label, s in rows]),
         "verdicts": _records(VERDICT_COLUMNS, [
-            (label, *(blank if v is None else astuple(v))) for label, v in verdicts
+            (label, *(blank if v is None else v)) for label, v in verdicts
         ]),
     })
 
@@ -119,16 +119,16 @@ def sweep(traces: Iterable[DiffusionTrace], fmt: str) -> str:
 
 
 def rank(records: Iterable[RankRecord], fmt: str) -> str:
-    return render(RANK_COLUMNS, [astuple(r) for r in records], fmt)
+    return render(RANK_COLUMNS, [(*r, r.score) for r in records], fmt)
 
 
 def correlation(matrix: CorrelationMatrix, fmt: str) -> str:
     """CSV: a square table, labels down the side and across the top.  JSON: labels and values."""
     if fmt == "json":
-        return _json(asdict(matrix))
+        return _json(matrix._asdict())
     rows = [(label, *row) for label, row in zip(matrix.labels, matrix.values)]
     return render(("", *matrix.labels), rows, fmt)
 
 
 def recommendation(rec: Recommendation) -> str:
-    return _json(asdict(rec))
+    return _json(rec._asdict())

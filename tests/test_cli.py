@@ -113,6 +113,16 @@ def test_python_m_influnet_runs_the_cli():
     assert proc.stderr == ""
 
 
+def test_cli_import_leaves_dataclasses_unloaded():
+    # Every command is a fresh process.  The result records are NamedTuples,
+    # so start-up does not pay to import dataclasses.
+    code = "import sys, influnet.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 _HELP = {"-h": argparse.SUPPRESS, "--help": argparse.SUPPRESS}
 _COMMON = {**_HELP, "--input": None, "--format": "csv", "--out": None}
 _SOLVER = {"--max-iter": 1000}

@@ -269,6 +269,24 @@ def test_clustering_with_mutual_arcs_matches_oracle():
         assert local_clustering(g) == oracle_clustering(g)
 
 
+def test_clustering_with_pendants_and_isolated_nodes_matches_oracle():
+    # Each projected edge is counted from its lower position only.  A pendant
+    # below its one neighbour is met from its own side, a pendant above it
+    # from the neighbour's side, and isolated nodes at both ends of the id
+    # range are met from neither.
+    rng = random.Random(61)
+    for _ in range(25):
+        n = rng.randint(3, 12)
+        arcs = {(i + 10, j + 10) for i, j in random_digraph(rng, n, 0.4).edges()}
+        arcs.add((rng.randrange(10, 10 + n), 1))  # pendant 1 is followed
+        arcs.add((100, rng.randrange(10, 10 + n)))  # pendant 100 follows
+        g = DirectedGraph(sorted(arcs), nodes=[0, 1, *range(10, 10 + n), 100, 200])
+        assert g.directed
+        mine = local_clustering(g)
+        assert mine == oracle_clustering(g)
+        assert [mine[v] for v in (0, 1, 100, 200)] == [0.0] * 4
+
+
 def test_sigma_is_ratio_of_ratios():
     actual = NetworkSummary(100, 400, 4.0, 0.3, 9, 1)
     base = NetworkSummary(100, 400, 2.0, 0.05, 5, 1)

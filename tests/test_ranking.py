@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import astuple
 
 import pytest
 
@@ -111,7 +110,8 @@ def test_record_derives_its_score():
         days_required=2,
         proportion_reached=0.8,
     )
-    assert astuple(RankRecord(**fields)) == (1, 1, 1, 0.5, 0.1, 2, 0.8, 40.0)
+    rec = RankRecord(**fields)
+    assert (*rec, rec.score) == (1, 1, 1, 0.5, 0.1, 2, 0.8, 40.0)
     with pytest.raises(TypeError, match="score"):
         RankRecord(**fields, score=99.0)
 
