@@ -31,14 +31,26 @@ from pathlib import Path
 from typing import Any, Callable
 
 from . import baselines, centrality, diffusion, export, metrics, ranking, report
-from .graph import DirectedGraph, ingest_edge_csv, largest_core
+from .graph import DirectedGraph, EdgeListParseError, ingest_edge_csv, largest_core
 
 log = logging.getLogger("influnet.cli")  # not __name__, "__main__" under python -m
 
 
 def _read_graph(args: argparse.Namespace) -> DirectedGraph:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        return ingest_edge_csv(fh).graph
+    """The input's graph, from bytes read once and decoded whole: a bad byte names its line."""
+    with open(args.input, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        # LF, CRLF and CR each end a line, as ingest splits them.
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise EdgeListParseError(
+            f"byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})", line_no
+        ) from None
+    del data  # ingest needs only the text
+    return ingest_edge_csv(text).graph
 
 
 def _region(args: argparse.Namespace) -> DirectedGraph:

@@ -10,8 +10,12 @@ holds the node ids sorted ascending, ``pos`` maps each id to its position
 in ``ids``, and ``out[p]`` and ``inc[p]`` are sorted tuples of the
 positions node p follows and is followed by.  Positions follow id order,
 so equal graphs have equal indexes; ``nodes``, ``edges`` and membership
-read them.  The constructor validates outside input; a graph derived from
-rows already in index form (the core, the random baselines) is adopted
+read them.  The constructor validates outside input and numbers each
+distinct id at first sight; ingest numbers each distinct id text the same
+way as it parses, without building an edge list.  Both hand their
+numbered rows to ``_index``, the one place that sorts the ids and
+deduplicates and sorts each row.  A graph derived from rows already in
+index form (the ingested graph, the core, the random baselines) is adopted
 unchecked by the one builder ``_from_index``.
 """
 
@@ -19,7 +23,6 @@ from __future__ import annotations
 
 import io
 import logging
-from collections import defaultdict
 from typing import Iterable, Iterator, KeysView, NamedTuple, TextIO
 
 log = logging.getLogger(__name__)
@@ -47,12 +50,16 @@ class DirectedGraph:
         nodes: Iterable[int] = (),
         directed: bool = True,
     ) -> None:
-        node_set: set[int] = set()
+        # Each distinct id is numbered at first sight: ids[k] is id number k,
+        # and rows[k] holds the numbers it points to, repeats included.
+        number: dict[int, int] = {}
+        ids: list[int] = []
+        rows: list[list[int]] = []
         for n in nodes:
             _check_node(n)
-            node_set.add(n)
-        # The targets of each source id, repeats included until the sort below.
-        succ: defaultdict[int, list[int]] = defaultdict(list)
+            if number.setdefault(n, len(ids)) == len(ids):
+                ids.append(n)
+                rows.append([])
         for i, j in edges:
             # A plain non-negative int is valid; anything else (a bool, a
             # float, an int subclass) gets the full check, so True is still
@@ -63,36 +70,46 @@ class DirectedGraph:
                 _check_node(j)
             if i == j:
                 raise ValueError(f"self-loop on node {i}")
-            succ[i].append(j)
+            x = number.setdefault(i, len(ids))
+            if x == len(ids):
+                ids.append(i)
+                rows.append([])
+            y = number.setdefault(j, len(ids))
+            if y == len(ids):
+                ids.append(j)
+                rows.append([])
+            rows[x].append(y)
             if not directed:
-                succ[j].append(i)
-        node_set.update(succ, *succ.values())
-        pos = {v: k for k, v in enumerate(sorted(node_set))}
-        out: list[tuple[int, ...]] = [()] * len(pos)
-        for i, targets in succ.items():
-            out[pos[i]] = tuple(map(pos.__getitem__, sorted(set(targets))))
-        self._set_index(pos, tuple(out), directed)
+                rows[y].append(x)
+        pos, out = _index(ids, rows)
+        self._set_index(pos, out, directed)
 
     def _set_index(
-        self, pos: dict[int, int], out: tuple[tuple[int, ...], ...], directed: bool
+        self,
+        pos: dict[int, int],
+        out: tuple[tuple[int, ...], ...],
+        directed: bool,
+        inc: tuple[tuple[int, ...], ...] | None = None,
     ) -> None:
         """Adopt a valid index: ``pos`` maps ids, ascending, to 0..n-1; each out[p] is sorted.
 
         An undirected graph's arcs must be symmetric; its ``inc`` is then
-        ``out`` itself, since followers and followees coincide.
+        ``out`` itself, since followers and followees coincide.  A directed
+        graph's ``inc`` is built from ``out`` unless the caller has it.
         """
         self.ids = ids = tuple(pos)
         self.pos = pos
         self.out = out
-        if directed:
+        if not directed:
+            inc = out
+        elif inc is None:
             # Sources are visited in position order, so each inc[q] comes out sorted.
-            inc: list[list[int]] = [[] for _ in ids]
+            rev: list[list[int]] = [[] for _ in ids]
             for p, targets in enumerate(out):
                 for q in targets:
-                    inc[q].append(p)
-            self.inc = tuple(map(tuple, inc))
-        else:
-            self.inc = out
+                    rev[q].append(p)
+            inc = tuple(map(tuple, rev))
+        self.inc = inc
         self.directed = directed
         arcs = sum(map(len, out))
         self.edge_count = arcs if directed else arcs // 2
@@ -134,12 +151,34 @@ class DirectedGraph:
 
 
 def _from_index(
-    pos: dict[int, int], out: tuple[tuple[int, ...], ...], directed: bool
+    pos: dict[int, int],
+    out: tuple[tuple[int, ...], ...],
+    directed: bool,
+    inc: tuple[tuple[int, ...], ...] | None = None,
 ) -> DirectedGraph:
     """The graph adopting an index valid by construction, as ``_set_index`` requires."""
     g = DirectedGraph.__new__(DirectedGraph)
-    g._set_index(pos, out, directed)
+    g._set_index(pos, out, directed, inc)
     return g
+
+
+def _index(
+    ids: list[int], rows: list[list[int]]
+) -> tuple[dict[int, int], tuple[tuple[int, ...], ...]]:
+    """``pos`` and ``out`` for the distinct ``ids``; rows[k] lists the numbers
+    (indexes into ``ids``) that ids[k] points to, repeats allowed.
+
+    One sort of the ids gives every node its position; each row is then
+    deduplicated, mapped to positions and sorted.
+    """
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = [0] * len(ids)
+    pos: dict[int, int] = {}
+    for p, k in enumerate(order):
+        rank[k] = pos[ids[k]] = p  # one int object per position, shared by every row
+    new = rank.__getitem__
+    out = tuple([tuple(sorted(map(new, set(rows[k])))) for k in order])
+    return pos, out
 
 
 def _check_node(n: int) -> None:
@@ -165,7 +204,12 @@ def ingest_edge_csv(source: str | TextIO | Iterable[str]) -> IngestResult:
     decimal digits.  Self-loops and repeated rows are dropped and counted.
     Malformed rows raise :class:`EdgeListParseError` with the offending
     line number.  A ``str`` is split at LF, CRLF and CR alike, as a text
-    file is.
+    file is.  Ids written with leading zeros (``7`` and ``007``) are one
+    node, and an id that appears only in self-loops is no node.
+
+    The rows number the ids as they are parsed and are indexed by
+    ``_index`` directly; no edge list is built and the validating
+    constructor does not run.
     """
     lines = iter(io.StringIO(source, newline=None) if isinstance(source, str) else source)
     line_no = 0
@@ -182,29 +226,58 @@ def ingest_edge_csv(source: str | TextIO | Iterable[str]) -> IngestResult:
             break
     else:
         raise EdgeListParseError("missing header row", max(line_no, 1))
-    edges: list[tuple[int, int]] = []
+    # Each distinct id text is numbered at first sight (``7`` and ``007``
+    # share the number of id 7), so int() runs once per text, not per row;
+    # ids[k] is id number k and rows[k] the numbers it follows, repeats
+    # included.  An id seen only in self-loops gets no number.
+    num: dict[str, int] = {}
+    by_value: dict[int, int] = {}
+    ids: list[int] = []
+    rows: list[list[int]] = []
+
+    def numbered(text: str, v: int) -> int:
+        k = by_value.setdefault(v, len(ids))
+        if k == len(ids):
+            ids.append(v)
+            rows.append([])
+        num[text] = k
+        return k
+
+    known = num.get  # bound once: the row loop below is ingest's hot path
     loops = 0
     try:
         for line_no, raw in enumerate(lines, start=line_no + 1):
             row = raw.strip()
             a, _, b = row.partition(",")
-            # The common row, plain digits on both sides; _fields judges the rest.
-            if not (a.isdigit() and b.isdigit() and row.isascii()):
-                if not row:
+            x = known(a)
+            y = known(b)
+            if x is None or y is None:
+                # A field never numbered: judge the row.  A numbered text is
+                # plain digits, so a row of two of them is valid as it stands.
+                if not (a.isdigit() and b.isdigit() and row.isascii()):
+                    if not row:
+                        continue
+                    a, b = _fields(row)
+                    x = known(a)
+                    y = known(b)
+                i = int(a) if x is None else ids[x]
+                j = int(b) if y is None else ids[y]
+                if i == j:
+                    loops += 1
                     continue
-                a, b = _fields(row)
-            i = int(a)
-            j = int(b)
-            if i == j:
+                if x is None:
+                    x = numbered(a, i)
+                if y is None:
+                    y = numbered(b, j)
+            elif x == y:
                 loops += 1
                 continue
-            edges.append((i, j))
+            rows[x].append(y)
     except ValueError as exc:  # from _fields, or int() past the int-string limit
         raise EdgeListParseError(str(exc), line_no) from None
-    # The constructor drops repeated arcs; the graph is directed, so each
-    # dropped row is one arc fewer.
-    graph = DirectedGraph(edges)
-    dupes = len(edges) - graph.edge_count
+    graph = _from_index(*_index(ids, rows), directed=True)
+    # Each repeated row is one arc fewer in the directed graph.
+    dupes = sum(map(len, rows)) - graph.edge_count
     if loops:
         log.warning("dropped %d self-loop row(s)", loops)
     if dupes:
@@ -272,12 +345,20 @@ def _components(g: DirectedGraph) -> list[list[int]]:
 
 
 def _restrict(g: DirectedGraph, kept: list[int]) -> DirectedGraph:
-    """The subgraph induced on the sorted positions ``kept``, re-indexed in place of a rebuild."""
+    """The subgraph on the sorted positions ``kept``, a union of weak components.
+
+    No arc leaves a weak component, so every ``out`` and ``inc`` row of a
+    kept node lies wholly in ``kept``: the rows are renumbered in place of
+    a rebuild, and stay sorted because ``kept`` is.
+    """
     remap = [-1] * g.node_count
+    pos: dict[int, int] = {}
     for k, p in enumerate(kept):
-        remap[p] = k
-    out = tuple(tuple([r for q in g.out[p] if (r := remap[q]) >= 0]) for p in kept)
-    return _from_index({g.ids[p]: k for k, p in enumerate(kept)}, out, g.directed)
+        remap[p] = pos[g.ids[p]] = k
+    new = remap.__getitem__
+    out = tuple([tuple(map(new, g.out[p])) for p in kept])
+    inc = tuple([tuple(map(new, g.inc[p])) for p in kept]) if g.directed else None
+    return _from_index(pos, out, g.directed, inc)
 
 
 def largest_core(g: DirectedGraph) -> DirectedGraph:

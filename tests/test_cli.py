@@ -123,6 +123,44 @@ def test_cli_import_leaves_dataclasses_unloaded():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
+
+def test_package_loads_each_submodule_on_first_use():
+    # One fresh interpreter, so the modules an earlier test imported do not count.
+    code = """
+import sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("influnet."))
+
+import influnet
+print(loaded())
+from influnet import ingest_edge_csv, largest_core
+print(loaded())
+import influnet.cli
+print(loaded())
+print(all(getattr(influnet, name) is not None for name in influnet.__all__))
+try:
+    influnet.no_such_name
+except AttributeError as exc:
+    print(exc)
+print("__all__" in dir(influnet), set(influnet.__all__) <= set(dir(influnet)))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # The tracer wraps the stages that import influnet.cli loads: all nine modules.
+    every = [f"influnet.{m}" for m in ("baselines", "centrality", "cli", "diffusion", "export",
+                                       "graph", "metrics", "ranking", "report")]
+    assert proc.stdout.splitlines() == [
+        "[]",
+        "['influnet.graph']",
+        str(every),
+        "True",
+        "module 'influnet' has no attribute 'no_such_name'",
+        "True True",
+    ]
+
 _HELP = {"-h": argparse.SUPPRESS, "--help": argparse.SUPPRESS}
 _COMMON = {**_HELP, "--input": None, "--format": "csv", "--out": None}
 _SOLVER = {"--max-iter": 1000}
@@ -286,6 +324,41 @@ def test_long_row_is_quoted_cut_short(text, line, message, tmp_path, capsys):
     assert errors[0].startswith(f"error: line {line}: {message}")
     assert len(errors[0]) < 200
 
+
+
+def _rows_with_bad_byte(rows: int, line: int) -> bytes:
+    """A header and ``rows`` edge rows, LF-ended, with byte 0xff opening line ``line``."""
+    lines = [b"i,j", *(f"{k},{k + 1}".encode() for k in range(rows))]
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    return b"".join(ln + b"\n" for ln in lines)
+
+
+# Each input, and the line its byte 0xff is on.
+NOT_UTF8 = {
+    "short": (b"i,j\n1,2\n\xff,3\n", 3),  # inside the header search's reach
+    "5000-rows": (_rows_with_bad_byte(5000, 3001), 3001),  # past the first 8-KB chunk
+    "cr-crlf": (b"i,j\r\n1,2\r2,3\r\n\r\n3,\xff4\n", 5),
+}
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("name", sorted(NOT_UTF8))
+def test_byte_that_is_not_utf8_names_its_line(name, source, tmp_path, capsys):
+    data, line = NOT_UTF8[name]
+    if source == "file":
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        code = main(["stats", "--input", str(path)])
+        captured = capsys.readouterr()
+        out, err = captured.out, captured.err
+    else:  # a pipe is read once; nothing can seek back to find the line
+        proc = subprocess.run(
+            [sys.executable, "-m", "influnet", "stats", "--input", "/dev/stdin"],
+            input=data, capture_output=True, env=_child_env(), timeout=60,
+        )
+        code, out, err = proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+    assert (code, out) == (2, "")
+    assert err == f"error: line {line}: byte 0xff is not UTF-8 (invalid start byte)\n"
 
 def test_seed_node_past_the_int_limit_exits_1(capsys):
     long_id = over_int_limit()

@@ -117,6 +117,7 @@ def test_parse_row_accepted(row, arc):
     result = ingest_edge_csv(f"i,j\r\n\r\n{row}\r\n\n  \n")
     assert list(result.graph.edges()) == ([arc] if arc else [])
     assert result.self_loops_dropped == (0 if arc else 1)
+    assert result.graph.node_count == (2 if arc else 0)  # a dropped self-loop leaves no node
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
@@ -287,12 +288,16 @@ def test_largest_core_rejects_empty():
 
 
 def test_induced_subgraph_cases():
-    g = DirectedGraph([(1, 2), (2, 3), (3, 1)])
-    assert _restrict(g, [0, 1, 2]) == g
+    # Weak components {1, 2, 3}, {5, 6} and {9}; _restrict keeps unions of them.
+    arcs = [(1, 2), (2, 3), (3, 1), (6, 5)]
+    g = DirectedGraph(arcs, nodes=[9])
+    assert _restrict(g, list(range(g.node_count))) == g
     assert _restrict(g, []).node_count == 0
-    sub = _restrict(g, [g.pos[1], g.pos[2]])
-    assert sub.nodes == {1, 2}
-    assert sorted(sub.edges()) == [(1, 2)]
+    for keep in ({1, 2, 3}, {5, 6}, {9}, {1, 2, 3, 9}, {5, 6, 9}):
+        sub = _restrict(g, sorted(g.pos[v] for v in keep))
+        ref = DirectedGraph([(i, j) for i, j in arcs if i in keep and j in keep], nodes=keep)
+        assert (sub.ids, sub.pos, sub.out, sub.inc) == (ref.ids, ref.pos, ref.out, ref.inc)
+        assert sub.edge_count == ref.edge_count
 
 
 def test_csv_round_trip_preserves_edges():

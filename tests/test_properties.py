@@ -19,7 +19,7 @@ from influnet import (  # noqa: E402
     to_edge_csv,
 )
 from influnet.centrality import _acyclic  # noqa: E402
-from influnet.graph import _restrict  # noqa: E402
+from influnet.graph import _components, _restrict  # noqa: E402
 from helpers import arc_pairs, fw_distances, oracle_index  # noqa: E402
 from strategies import sparse_digraphs  # noqa: E402
 
@@ -154,9 +154,11 @@ def test_edge_csv_is_the_edge_rows(arcs, nodes, directed):
 
 @PROPERTY
 @given(arc_lists, st.lists(few_ids, max_size=4), st.booleans(), st.data())
-def test_induced_subgraph_on_a_cut_keep_set(arcs, nodes, directed, data):
+def test_induced_subgraph_on_a_union_of_components(arcs, nodes, directed, data):
     g = DirectedGraph(arcs, nodes=nodes, directed=directed)
-    keep = data.draw(st.sets(st.sampled_from(g.ids))) if g.ids else set()
+    comps = _components(g)
+    chosen = data.draw(st.sets(st.sampled_from(range(len(comps))))) if comps else set()
+    keep = {g.ids[p] for c in chosen for p in comps[c]}
     sub = _restrict(g, sorted(g.pos[v] for v in keep))
     ref = DirectedGraph(
         [(i, j) for i, j in arcs if i in keep and j in keep], nodes=keep, directed=directed
@@ -171,12 +173,23 @@ def test_induced_subgraph_on_a_cut_keep_set(arcs, nodes, directed, data):
 def test_ingest_equals_constructor_over_distinct_rows(caplog, arcs, data):
     repeated = st.lists(st.sampled_from(sorted(arcs)), max_size=10) if arcs else st.just([])
     repeats = data.draw(repeated)
-    loops = data.draw(st.lists(ids, max_size=5))
+    # A self-loop's id may be an arc end or appear in no arc; each side's
+    # own padding makes rows such as 7,07, one id under two spellings.
+    ends = sorted({v for arc in arcs for v in arc})
+    loops = data.draw(st.lists(ids | st.sampled_from(ends) if ends else ids, max_size=5))
     rows = data.draw(st.permutations([*arcs, *repeats, *((v, v) for v in loops)]))
+
+    def spell(v: int) -> str:  # the id's digits after a drawn number of leading zeros
+        return "0" * data.draw(st.integers(0, 3)) + str(v)
+
+    text = "".join(f"{spell(i)},{spell(j)}\n" for i, j in rows)
     caplog.clear()
     with caplog.at_level("WARNING", logger="influnet.graph"):
-        result = ingest_edge_csv("i,j\n" + "".join(f"{i},{j}\n" for i, j in rows))
-    assert result.graph == DirectedGraph(arcs)
+        result = ingest_edge_csv("i,j\n" + text)
+    g, ref = result.graph, DirectedGraph(arcs)
+    assert (g.ids, g.pos, g.out, g.inc, g.edge_count) == (
+        ref.ids, ref.pos, ref.out, ref.inc, ref.edge_count
+    )
     assert (result.self_loops_dropped, result.duplicates_dropped) == (len(loops), len(repeats))
     warned = [r.getMessage() for r in caplog.records]
     assert warned == [
