@@ -20,8 +20,11 @@ score is the same float sum, bit for bit, however many processes ran.
 Each source's BFS records its shortest-path DAG, so the backward pass
 walks only the arcs that lie on shortest paths; a source with more
 shortest paths to some node than a float can count takes the same pass
-in ratio form.  The eigenvector solver's :class:`ConvergenceError` is
-defined here too.
+in ratio form.  Only a deep BFS can count that far: a count at depth D is
+at most (max out-degree)**D, so a source is checked for one only when
+its deepest level D times the bit length of the max out-degree reaches
+``_SIGMA_CAP``'s exponent.  The eigenvector solver's
+:class:`ConvergenceError` is defined here too.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ import signal
 import threading
 import traceback
 from array import array
-from collections.abc import Iterable
-from itertools import repeat
-from operator import add
+from collections.abc import Callable, Iterable, Sequence
+from itertools import chain, repeat
+from operator import add, itemgetter, mul, sub
 from typing import BinaryIO, NamedTuple, NoReturn
 
 from .graph import DirectedGraph
@@ -69,8 +72,10 @@ _TOL = 1e-10
 class ConvergenceError(RuntimeError):
     """Raised when an iterative solver exhausts its iteration budget.
 
-    The last iterate and its residual are attached so callers can inspect
-    how far the computation got.
+    The last iterate and a residual are attached so callers can inspect
+    how far the computation got.  The residual is that of the step before
+    the iterate: max |M x - lambda x| for the x the last step started from,
+    ``inf`` when no step was taken.
     """
 
     def __init__(self, message: str, iterate: dict, residual: float) -> None:
@@ -145,8 +150,9 @@ def _betweenness_acc(adj: tuple[tuple[int, ...], ...], processes: int) -> list[f
     to process k mod P.  This process adds its own blocks straight into
     ``acc`` (with P = 1 that is every block, and nothing is forked); each
     forked worker runs each of its sources into a fresh row of zeros and
-    writes the rows to a pipe as float64.  The rows are read back in
-    source order and added to ``acc`` one at a time.  A fresh row
+    writes each block's rows to a pipe as one float64 array.  The blocks
+    are read back in source order, one read each, and a block's rows are
+    added to ``acc`` row after row in one chained pass.  A fresh row
     holds ``0.0 + delta == delta`` and every entry of ``acc`` is at least
     +0.0, so ``acc[w] + 0.0 == acc[w]`` where a source adds nothing: each
     ``acc[w]`` is the same left-to-right sum, bit for bit, whatever P is.
@@ -180,13 +186,15 @@ def _betweenness_acc(adj: tuple[tuple[int, ...], ...], processes: int) -> list[f
                 _brandes(adj, block, repeat(acc))
                 continue
             pid, pipe = workers[k % procs - 1]
-            for _ in block:
-                row = array("d")
-                try:
-                    row.fromfile(pipe, n)
-                except EOFError:
-                    raise RuntimeError(f"betweenness worker {pid} exited early") from None
-                acc = [*map(add, acc, row)]
+            rows = array("d")
+            try:
+                rows.fromfile(pipe, n * len(block))
+            except (EOFError, ValueError):  # ValueError: the stream ends mid-float
+                raise RuntimeError(f"betweenness worker {pid} exited early") from None
+            total: Iterable[float] = acc
+            for lo in range(0, len(rows), n):  # one lazy sum per entry, row after row
+                total = map(add, total, rows[lo:lo + n])
+            acc = [*total]
     finally:
         for pid, pipe in workers:
             pipe.close()
@@ -196,7 +204,7 @@ def _betweenness_acc(adj: tuple[tuple[int, ...], ...], processes: int) -> list[f
 
 
 def _worker(adj: tuple[tuple[int, ...], ...], blocks: list[range], fd: int) -> NoReturn:
-    """Forked worker: write each block's rows to ``fd`` as float64, then exit.
+    """Forked worker: write each block's rows to ``fd`` as one float64 array, then exit.
 
     It ends in ``os._exit`` whatever happens, so it never flushes the
     parent's stdio buffers or returns into the caller's stack.  The pipe
@@ -210,8 +218,7 @@ def _worker(adj: tuple[tuple[int, ...], ...], blocks: list[range], fd: int) -> N
         for block in blocks:
             rows = [[0.0] * n for _ in block]
             _brandes(adj, block, rows)
-            for row in rows:
-                out.write(array("d", row))
+            out.write(array("d", chain.from_iterable(rows)))
             out.flush()
         code = 0
     except BrokenPipeError:  # the parent stopped reading: it has failed or gone
@@ -230,9 +237,14 @@ def _brandes(adj: tuple[tuple[int, ...], ...], sources: Iterable[int],
     # successor of the reader, and such a node was written earlier in the
     # same backward pass, so the list is never reset between sources.
     coeff = [0.0] * n
+    # A path count at depth D is at most (max out-degree)**D < 2**(D * bits),
+    # and _SIGMA_CAP >= 2**deep, so a source whose deepest node has
+    # D * bits < deep cannot reach the cap and skips the max(sigma) scan.
+    bits = max(map(len, adj), default=0).bit_length()
+    deep = _SIGMA_CAP.bit_length() - 1
     for s, acc in zip(sources, rows):
         # A node not reached has distance n, above every reached distance,
-        # so an arc back into the BFS fails the one test dw >= d.
+        # so an arc back into the BFS fails the one test dist[w] >= d.
         dist = [n] * n
         sigma = [0] * n
         dist[s] = 0
@@ -249,9 +261,8 @@ def _brandes(adj: tuple[tuple[int, ...], ...], sources: Iterable[int],
             succ = []
             succs.append(succ)
             for w in adj[v]:
-                dw = dist[w]
-                if dw >= d:
-                    if dw == d:
+                if dist[w] >= d:
+                    if dist[w] == d:
                         sigma[w] += sv
                     else:
                         dist[w] = d
@@ -259,7 +270,7 @@ def _brandes(adj: tuple[tuple[int, ...], ...], sources: Iterable[int],
                         order.append(w)
                     succ.append(w)
         # float(sigma) overflows from 2**1024 on: such a source takes ratios.
-        if max(sigma) >= _SIGMA_CAP:
+        if dist[order[-1]] * bits >= deep and max(sigma) >= _SIGMA_CAP:
             _ratio_dependencies(order, succs, sigma, acc)
             continue
         for w, succ in zip(order[:0:-1], succs[:0:-1]):  # reverse BFS order, source excluded
@@ -336,28 +347,45 @@ def eigenvector_centrality(g: DirectedGraph, max_iter: int = 1000) -> dict[int, 
 
 def _power_iteration(ids: tuple[int, ...], followers: tuple[tuple[int, ...], ...],
                      max_iter: int) -> dict[int, float]:
-    """Iterate x <- M x / |M x| from the uniform start, M[v][u] = 1 for u in followers[v]."""
+    """Iterate x <- M x / |M x| from the uniform start, M[v][u] = 1 for u in followers[v].
+
+    lambda and the residual of a step are worked out only where its change
+    is below ``_TOL``, and for the :class:`ConvergenceError` raised after
+    the last step.
+    """
     n = len(ids)
+    gathers = [_gather(f) for f in followers]
     x = [1.0 / math.sqrt(n)] * n
-    residual = math.inf
+    prev = y = None
     for _ in range(max_iter):
-        y = [math.fsum(x[u] for u in followers[v]) for v in range(n)]
-        norm = math.sqrt(math.fsum(c * c for c in y))
+        y = [math.fsum(gather(x)) for gather in gathers]
+        norm = math.sqrt(math.fsum(map(mul, y, y)))
         if norm == 0.0:
             # x is annihilated by the step: an exact eigenvector for 0.
             return dict(zip(ids, x))
-        lam = math.fsum(x[k] * y[k] for k in range(n))
-        residual = max(abs(y[k] - lam * x[k]) for k in range(n))
-        y = [c / norm for c in y]
-        change = max(abs(y[k] - x[k]) for k in range(n))
-        if change < _TOL and residual < 10.0 * _TOL:
+        z = [c / norm for c in y]
+        if max(map(abs, map(sub, z, x))) < _TOL and _residual(x, y) < 10.0 * _TOL:
             return dict(zip(ids, x))
-        x = y
+        prev, x = x, z
     raise ConvergenceError(
         f"eigenvector iteration did not settle within {max_iter} steps",
         iterate=dict(zip(ids, x)),
-        residual=residual,
+        residual=math.inf if y is None else _residual(prev, y),
     )
+
+
+def _gather(positions: tuple[int, ...]) -> Callable[[list[float]], Sequence[float]]:
+    """x -> the entries of x at ``positions``, in that order, as one sequence."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    # itemgetter(u) returns the bare entry, and itemgetter() cannot be built.
+    return itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
+
+
+def _residual(x: list[float], y: list[float]) -> float:
+    """max |y - lambda x| for the step x -> y, lambda the Rayleigh quotient x . y (|x| = 1)."""
+    lam = math.fsum(map(mul, x, y))
+    return max(map(abs, map(sub, y, map(mul, repeat(lam), x))))
 
 
 def _acyclic(g: DirectedGraph) -> bool:

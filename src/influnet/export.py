@@ -41,8 +41,9 @@ def to_edge_csv(g: DirectedGraph) -> str:
         if not g.directed:
             # One row per unordered pair: only the targets after p.
             targets = targets[bisect_right(targets, p):]
-        head = names[p] + ","
-        rows += [head + names[q] for q in targets]
+        if targets:
+            head = names[p] + ","
+            rows.append(head + ("\n" + head).join([names[q] for q in targets]))
     return "\n".join(rows) + "\n"
 
 

@@ -4,12 +4,13 @@ The oracles take the slow obvious route on purpose: distances by
 Floyd-Warshall, betweenness by enumerating every shortest path with exact
 rationals, cascades by rescanning the whole node set each day.  Fast
 implementations are judged against these on seeded corpora.  The Brandes
-kernel that the current one replaced is kept here too, as the reference
-its rows must equal bit for bit.
+kernel and the power-iteration loop that the current ones replaced are
+kept here too, as the references they must equal bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from collections.abc import Iterable
@@ -18,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from influnet import CorrelationMatrix, DirectedGraph, ingest_edge_csv
+from influnet import ConvergenceError, CorrelationMatrix, DirectedGraph, ingest_edge_csv
+from influnet.centrality import _TOL
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE = DATA_DIR / "follows12.csv"
@@ -274,6 +276,37 @@ def reference_brandes(adj: tuple[tuple[int, ...], ...], sources: Iterable[int],
             delta = sw * t
             coeff[w] = (1.0 + delta) / sw
             acc[w] += delta
+
+
+def reference_power_iteration(ids: tuple[int, ...], followers: tuple[tuple[int, ...], ...],
+                              max_iter: int) -> dict[int, float]:
+    """Iterate x <- M x / |M x| from the uniform start, M[v][u] = 1 for u in followers[v].
+
+    The loop ``centrality._power_iteration`` replaced, kept as it was: it
+    works out lambda and the residual at every step.  The new loop must
+    return the same dict, or raise the same payload, bit for bit.
+    """
+    n = len(ids)
+    x = [1.0 / math.sqrt(n)] * n
+    residual = math.inf
+    for _ in range(max_iter):
+        y = [math.fsum(x[u] for u in followers[v]) for v in range(n)]
+        norm = math.sqrt(math.fsum(c * c for c in y))
+        if norm == 0.0:
+            # x is annihilated by the step: an exact eigenvector for 0.
+            return dict(zip(ids, x))
+        lam = math.fsum(x[k] * y[k] for k in range(n))
+        residual = max(abs(y[k] - lam * x[k]) for k in range(n))
+        y = [c / norm for c in y]
+        change = max(abs(y[k] - x[k]) for k in range(n))
+        if change < _TOL and residual < 10.0 * _TOL:
+            return dict(zip(ids, x))
+        x = y
+    raise ConvergenceError(
+        f"eigenvector iteration did not settle within {max_iter} steps",
+        iterate=dict(zip(ids, x)),
+        residual=residual,
+    )
 
 
 def oracle_cascade(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import os
 import random
 import threading
@@ -162,6 +163,42 @@ def test_worker_dying_mid_run_raises_and_is_reaped(monkeypatch):
     monkeypatch.setattr(centrality, "_brandes", dies_on_second_block)
     fds = open_fds()
     with pytest.raises(RuntimeError, match="exited early"):
+        _betweenness_acc(g.out, 2)
+    assert_no_child_left()
+    assert open_fds() == fds
+
+
+@pytest.mark.parametrize("cut", [0, 3], ids=["half_the_rows", "mid_float"])
+def test_worker_exiting_mid_block_raises_and_is_reaped(monkeypatch, cut):
+    # The worker writes its first block whole, then half of its second
+    # block's bytes (plus cut more, splitting a float), and exits 0.
+    g = random_graph(random.Random(14), 6 * _BLOCK, 0.1)
+    parent, blocks = os.getpid(), []
+
+    class HalfSecondBlock:
+        def __init__(self, fd):
+            self.out = builtins.open(fd, "wb")
+
+        def write(self, rows):
+            data = rows.tobytes()
+            blocks.append(rows)
+            if len(blocks) == 2:
+                self.out.write(data[:len(data) // 2 + cut])
+                self.out.flush()
+                os._exit(0)
+            self.out.write(data)
+
+        def flush(self):
+            self.out.flush()
+
+    def opens(fd, mode):
+        if mode == "wb" and os.getpid() != parent:
+            return HalfSecondBlock(fd)
+        return builtins.open(fd, mode)
+
+    monkeypatch.setattr(centrality, "open", opens, raising=False)
+    fds = open_fds()
+    with pytest.raises(RuntimeError, match=r"betweenness worker \d+ exited early"):
         _betweenness_acc(g.out, 2)
     assert_no_child_left()
     assert open_fds() == fds

@@ -91,6 +91,53 @@ def test_ratio_form_matches_the_enumeration_oracle(monkeypatch, cap):
             assert abs(b[v] - float(ref[v])) < 1e-12
 
 
+def max_path_count(adj: tuple[tuple[int, ...], ...], s: int) -> int:
+    """The largest number of shortest paths from s to any one node, level by level."""
+    dist, sigma, frontier = {s: 0}, {s: 1}, [s]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    sigma[w] = 0
+                    nxt.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+        frontier = nxt
+    return max(sigma.values())
+
+
+# From the one node of the first layer, the path count is multiplied by a
+# layer's width at each layer after the second, so it first reaches 2**k at
+# a depth fixed by k and the widths.  Widths of 7 keep it within a factor 7
+# of the bound (max out-degree)**D, below 2**(3 * D).
+@pytest.mark.parametrize("widths", [[1, 2, 2, 2, 2, 2, 2, 2, 2, 1], [1, 4, 4, 4, 4, 4, 1],
+                                    [2, 8, 8, 2], [1, 7, 7, 7, 7, 7, 7, 1]])
+def test_ratio_form_runs_for_exactly_the_sources_that_reach_the_cap(monkeypatch, widths):
+    g = layered_bipartite(widths, gap=3)
+    sources = list(range(g.node_count))
+    counts = [max_path_count(g.out, s) for s in sources]
+    ref = kernel_rows(reference_brandes, g, sources)
+    monkeypatch.setattr(centrality, "_SIGMA_CAP", 1)  # every source takes ratios
+    ratio_rows = kernel_rows(_brandes, g, sources)
+    if all(w & (w - 1) == 0 for w in widths):  # ratios of powers of two are exact
+        assert ratio_rows == ref
+    ratio, took = centrality._ratio_dependencies, []
+
+    def spy(order, succs, sigma, acc):
+        took.append(order[0])
+        ratio(order, succs, sigma, acc)
+
+    monkeypatch.setattr(centrality, "_ratio_dependencies", spy)
+    for k in range(max(counts).bit_length() + 1):
+        monkeypatch.setattr(centrality, "_SIGMA_CAP", 1 << k)
+        took.clear()
+        rows = kernel_rows(_brandes, g, sources)
+        assert took == [s for s in sources if counts[s] >= 1 << k]
+        assert rows == [ratio_rows[s] if s in took else ref[s] for s in sources]
+
+
 DIAMONDS = 1030  # 2**1030 shortest paths end to end: past float's 2**1024
 
 

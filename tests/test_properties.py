@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -18,9 +20,9 @@ from influnet import (  # noqa: E402
     summarize,
     to_edge_csv,
 )
-from influnet.centrality import _acyclic  # noqa: E402
+from influnet.centrality import _acyclic, _power_iteration  # noqa: E402
 from influnet.graph import _components, _restrict  # noqa: E402
-from helpers import arc_pairs, fw_distances, oracle_index  # noqa: E402
+from helpers import arc_pairs, fw_distances, oracle_index, reference_power_iteration  # noqa: E402
 from strategies import sparse_digraphs  # noqa: E402
 
 PROPERTY = settings(max_examples=50, derandomize=True, deadline=None, database=None)
@@ -248,6 +250,34 @@ def test_eigenvector_on_a_dag_ignores_a_short_cap(g, max_iter):
     assert eigenvector_centrality(g, max_iter=max_iter) == eigenvector_centrality(
         g, max_iter=10**6
     )
+
+
+def power_iteration_outcome(solver, ids, followers, max_iter):
+    """The solver's dict, or its ConvergenceError payload (iterate, residual)."""
+    try:
+        return solver(ids, followers, max_iter)
+    except ConvergenceError as exc:
+        return exc.iterate, exc.residual
+
+
+# 1<->2<->3 and two mutual pairs, one following into the other: plain
+# iteration oscillates on both.
+MUTUAL_PATHS = [DirectedGraph([(1, 2), (2, 1), (2, 3), (3, 2)]),
+                DirectedGraph([(1, 2), (2, 1), (3, 4), (4, 3), (3, 1)])]
+
+
+@pytest.mark.parametrize("graphs", [sparse_digraphs(), mutual_trees(), st.sampled_from(MUTUAL_PATHS)],
+                         ids=["sparse", "mutual_tree", "mutual_paths"])
+@PROPERTY
+@given(st.data(), st.sampled_from([0, 1, 2, 5, 1000]), st.booleans())
+def test_power_iteration_equals_the_old_loop(graphs, data, max_iter, shifted):
+    g = data.draw(graphs)
+    # shifted: A + I, as the retry in eigenvector_centrality iterates it.
+    followers = tuple(f + (k,) for k, f in enumerate(g.inc)) if shifted else g.inc
+    new = power_iteration_outcome(_power_iteration, g.ids, followers, max_iter)
+    assert new == power_iteration_outcome(reference_power_iteration, g.ids, followers, max_iter)
+    if max_iter == 0:
+        assert new == (dict.fromkeys(g.ids, 1.0 / math.sqrt(g.node_count)), math.inf)
 
 
 @pytest.mark.parametrize("graphs", [sparse_digraphs(), mutual_trees(), dags()],
